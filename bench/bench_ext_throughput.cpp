@@ -382,17 +382,20 @@ int main(int argc, char** argv) {
     telemetry::CountingAllocatorGuard warm_guard;
     const std::size_t warm_packets = pass();
     const std::uint64_t warmup_count = warm_guard.allocations();
+    const std::uint64_t warmup_bytes = warm_guard.bytes();
     telemetry::CountingAllocatorGuard steady_guard;
     const std::size_t steady_packets = pass();
     const std::uint64_t steady_count = steady_guard.allocations();
     std::printf("4-channel channelizer bank, %zu-sample blocks:\n", kBlock);
-    std::printf("  warm-up pass       %6llu allocations (%zu packets)\n",
-                static_cast<unsigned long long>(warmup_count),
-                warm_packets);
+    std::printf(
+        "  warm-up pass       %6llu allocations, %llu bytes (%zu packets)\n",
+        static_cast<unsigned long long>(warmup_count),
+        static_cast<unsigned long long>(warmup_bytes), warm_packets);
     std::printf("  steady-state pass  %6llu allocations (%zu packets)\n\n",
                 static_cast<unsigned long long>(steady_count),
                 steady_packets);
     report.counter("alloc.warmup_count", warmup_count);
+    report.counter("alloc.warmup_bytes", warmup_bytes);
     report.counter("alloc.steady_state_count", steady_count);
     report.counter("alloc.steady_state_packets",
                    static_cast<std::uint64_t>(steady_packets));

@@ -452,15 +452,18 @@ int main(int argc, char** argv) {
     telemetry::CountingAllocatorGuard warm_guard;
     stream_once();
     const std::uint64_t warmup_count = warm_guard.allocations();
+    const std::uint64_t warmup_bytes = warm_guard.bytes();
     telemetry::CountingAllocatorGuard steady_guard;
     stream_once();
     const std::uint64_t steady_count = steady_guard.allocations();
     std::printf("steady-state allocation audit (8 paced blocks/pass):\n");
-    std::printf("  warm-up pass       %6llu allocations\n",
-                static_cast<unsigned long long>(warmup_count));
+    std::printf("  warm-up pass       %6llu allocations, %llu bytes\n",
+                static_cast<unsigned long long>(warmup_count),
+                static_cast<unsigned long long>(warmup_bytes));
     std::printf("  steady-state pass  %6llu allocations\n\n",
                 static_cast<unsigned long long>(steady_count));
     report.counter("alloc.warmup_count", warmup_count);
+    report.counter("alloc.warmup_bytes", warmup_bytes);
     report.counter("alloc.steady_state_count", steady_count);
   }
 

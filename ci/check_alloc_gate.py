@@ -12,6 +12,10 @@ telemetry::CountingAllocatorGuard and report it as sidecar rows:
                             (informational — scratch buffers, packet
                             lists and pools growing to their high-water
                             marks)
+  alloc.warmup_bytes        heap bytes those warm-up allocations
+                            requested (informational, printed for the
+                            record — the block FIR stages stream fixed
+                            tiles, so it does not grow with block size)
   alloc.steady_state_count  allocations during the measured pass —
                             gated == 0 here; any nonzero value means a
                             per-block allocation crept back into a hot
@@ -52,7 +56,9 @@ def main() -> int:
 
         steady = rows.get("alloc.steady_state_count")
         warmup = rows.get("alloc.warmup_count")
-        print(f"{bench}: warmup={warmup} steady_state={steady}")
+        warmup_bytes = rows.get("alloc.warmup_bytes")
+        print(f"{bench}: warmup={warmup} warmup_bytes={warmup_bytes} "
+              f"steady_state={steady}")
         if steady is None:
             print(f"::error::{bench} sidecar carries no "
                   f"alloc.steady_state_count row — the audit did not run")

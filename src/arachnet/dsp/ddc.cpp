@@ -6,21 +6,15 @@
 
 namespace arachnet::dsp {
 
-namespace {
-
-std::vector<double> ddc_coeffs(const Ddc::Params& p) {
-  return design_lowpass(p.cutoff_hz, p.sample_rate_hz, p.taps);
-}
-
-}  // namespace
-
 Ddc::Ddc(Params params)
+    : Ddc(params, design_lowpass(params.cutoff_hz, params.sample_rate_hz,
+                                 params.taps)) {}
+
+Ddc::Ddc(Params params, const std::vector<double>& coeffs)
     : params_(params),
-      lpf_(ddc_coeffs(params)),
-      decimator_(ddc_coeffs(params),
-                 params.decimation == 0 ? 1 : params.decimation),
-      decimator_s_(ddc_coeffs(params),
-                   params.decimation == 0 ? 1 : params.decimation) {
+      lpf_(coeffs),
+      decimator_(coeffs, params.decimation == 0 ? 1 : params.decimation),
+      decimator_s_(coeffs, params.decimation == 0 ? 1 : params.decimation) {
   if (params_.decimation == 0) {
     throw std::invalid_argument("Ddc: decimation must be >= 1");
   }
@@ -38,20 +32,13 @@ void Ddc::set_carrier(double hz) noexcept {
 }
 
 std::optional<std::complex<double>> Ddc::push(double sample) {
-  if (params_.kernels == KernelPolicy::kBlock) {
+  if (params_.kernels != KernelPolicy::kScalar) {
     // One-sample block through the kernel machinery, so push() and
     // process() share decimator/NCO state under either policy.
-    mixed_.resize(1);
-    nco_.mix_real(&sample, mixed_.data(), 1);
     std::complex<double> out;
-    if (decimator_.process(mixed_.data(), 1, &out) != 0) return out;
-    return std::nullopt;
-  }
-  if (params_.kernels == KernelPolicy::kSimd) {
-    mixed_f_.resize(2);
-    nco_s_.mix_real(&sample, mixed_f_.data(), 1);
-    std::complex<double> out;
-    if (decimator_s_.process(mixed_f_.data(), 1, &out) != 0) return out;
+    if (run_kernels(std::span<const double>{&sample, 1}, &out) != 0) {
+      return out;
+    }
     return std::nullopt;
   }
   // Mix with e^{-j w t}: shifts the 90 kHz band to DC.
@@ -74,39 +61,42 @@ std::optional<std::complex<double>> Ddc::push(double sample) {
   return std::nullopt;
 }
 
+std::size_t Ddc::run_kernels(std::span<const double> in,
+                            std::complex<double>* out) {
+  const double* x = in.data();
+  if (params_.kernels == KernelPolicy::kBlock) {
+    return decimator_.stream(
+        in.size(),
+        [&](std::complex<double>* dst, std::size_t off, std::size_t len) {
+          nco_.mix_real(x + off, dst, len);
+        },
+        out);
+  }
+  return decimator_s_.stream(
+      in.size(),
+      [&](float* dst, std::size_t off, std::size_t len) {
+        nco_s_.mix_real(x + off, dst, len);
+      },
+      out);
+}
+
 std::size_t Ddc::process(std::span<const double> in,
                          std::vector<std::complex<double>>& out) {
-  if (params_.kernels == KernelPolicy::kBlock) {
-    const std::size_t n = in.size();
-    if (n == 0) return 0;
-    mixed_.resize(n);
-    nco_.mix_real(in.data(), mixed_.data(), n);
-    const std::size_t base = out.size();
-    out.resize(base + n / params_.decimation + 1);
-    const std::size_t got =
-        decimator_.process(mixed_.data(), n, out.data() + base);
-    out.resize(base + got);
-    return got;
-  }
-  if (params_.kernels == KernelPolicy::kSimd) {
-    const std::size_t n = in.size();
-    if (n == 0) return 0;
-    mixed_f_.resize(2 * n);
-    nco_s_.mix_real(in.data(), mixed_f_.data(), n);
-    const std::size_t base = out.size();
-    out.resize(base + n / params_.decimation + 1);
-    const std::size_t got =
-        decimator_s_.process(mixed_f_.data(), n, out.data() + base);
-    out.resize(base + got);
-    return got;
-  }
-  std::size_t got = 0;
-  for (double s : in) {
-    if (const auto iq = push(s)) {
-      out.push_back(*iq);
-      ++got;
+  if (params_.kernels == KernelPolicy::kScalar) {
+    std::size_t got = 0;
+    for (double s : in) {
+      if (const auto iq = push(s)) {
+        out.push_back(*iq);
+        ++got;
+      }
     }
+    return got;
   }
+  if (in.empty()) return 0;
+  const std::size_t base = out.size();
+  out.resize(base + in.size() / params_.decimation + 1);
+  const std::size_t got = run_kernels(in, out.data() + base);
+  out.resize(base + got);
   return got;
 }
 
@@ -124,10 +114,8 @@ void Ddc::reset() {
   decim_count_ = 0;
   nco_.set(0.0, -phase_step_);
   decimator_.reset();
-  mixed_.clear();
   nco_s_.set(0.0, -phase_step_);
   decimator_s_.reset();
-  mixed_f_.clear();
 }
 
 double estimate_frequency_offset(const std::vector<std::complex<double>>& iq,

@@ -29,7 +29,9 @@ namespace arachnet::dsp {
 /// fraction of the cost, and the simd path (float32 vector lanes with
 /// runtime ISA dispatch, double accumulation at the decimation points)
 /// which matches to float32 tolerance. The decimation grid is identical
-/// across all policies.
+/// across all policies. The block and simd paths run a block as kFirTile
+/// tiles, the NCO writing each straight into the decimator's window, so
+/// their scratch does not grow with the caller's block size.
 class Ddc {
  public:
   struct Params {
@@ -88,19 +90,28 @@ class Ddc {
   const Params& params() const noexcept { return params_; }
 
  private:
+  /// Shares one low-pass design between the three policies' filters.
+  Ddc(Params params, const std::vector<double>& coeffs);
+
+  /// Block/simd paths: mixes `in` tile by tile into the decimator's
+  /// window and writes the survivors (at most in.size() / decimation + 1)
+  /// to `out`. Returns how many.
+  std::size_t run_kernels(std::span<const double> in,
+                          std::complex<double>* out);
+
   Params params_;
   FirFilter<std::complex<double>> lpf_;    ///< scalar-path filter state
   double phase_ = 0.0;
   double phase_step_ = 0.0;
   std::size_t decim_count_ = 0;
-  // Block-kernel path: NCO phasor + polyphase decimator + mix scratch.
+  // Block-kernel path: NCO phasor mixing each tile straight into the
+  // polyphase decimator's window.
   PhasorNco nco_;
   FirBlockDecimator<std::complex<double>> decimator_;
-  std::vector<std::complex<double>> mixed_;
-  // Simd path: float32 lanes, interleaved mix scratch, double outputs.
+  // Simd path: float32 lanes into the float32 decimator's window, double
+  // outputs.
   simd::SimdNco nco_s_;
   simd::FirSimdDecimator decimator_s_;
-  std::vector<float> mixed_f_;
 };
 
 /// Estimates a small carrier-frequency offset from decimated IQ: the slope

@@ -93,7 +93,10 @@ PolyphaseChannelizer::Plan PolyphaseChannelizer::plan(
 }
 
 PolyphaseChannelizer::PolyphaseChannelizer(Params params)
-    : params_(std::move(params)) {
+    : params_(std::move(params)),
+      window_(params_.prototype.empty() ? 0 : params_.prototype.size() - 1),
+      window_f_(params_.prototype.empty() ? 0
+                                          : params_.prototype.size() - 1) {
   if (!is_pow2(params_.fft_size)) {
     throw std::invalid_argument(
         "PolyphaseChannelizer: fft_size must be a power of two");
@@ -116,7 +119,6 @@ PolyphaseChannelizer::PolyphaseChannelizer(Params params)
   for (double& h : scaled_proto_) {
     h *= static_cast<double>(params_.fft_size);
   }
-  work_.assign(scaled_proto_.size() - 1, cplx{});
   spec_.resize(params_.fft_size);
   use_f32_ = params_.kernels == KernelPolicy::kSimd &&
              params_.fold == Params::Fold::kAuto;
@@ -126,7 +128,6 @@ PolyphaseChannelizer::PolyphaseChannelizer(Params params)
       proto_f_[2 * m] = static_cast<float>(scaled_proto_[m]);
       proto_f_[2 * m + 1] = proto_f_[2 * m];
     }
-    work_f_.assign(2 * (scaled_proto_.size() - 1), 0.0f);
     spec_f_.resize(2 * params_.fft_size);
   }
   const std::vector<double> centers = std::move(params_.center_hz);
@@ -180,112 +181,114 @@ std::size_t PolyphaseChannelizer::add_lane(double center_hz) {
 }
 
 std::size_t PolyphaseChannelizer::process(const cplx* in, std::size_t n) {
-  if (use_f32_) return process_f32(in, n);
-  const std::size_t taps = scaled_proto_.size();
-  const std::size_t fft_size = params_.fft_size;
-  const std::size_t decim = params_.decimation;
-  work_.resize(taps - 1 + n);
-  std::copy(in, in + n,
-            work_.begin() + static_cast<std::ptrdiff_t>(taps - 1));
-  const std::size_t count = (phase_ + n) / decim;
+  const std::size_t count = (phase_ + n) / params_.decimation;
   for (auto& lane : lanes_) lane.resize(count);
-  const cplx* w = work_.data();
-  const double* h = scaled_proto_.data();
-  cplx* v = spec_.data();
-  std::size_t f = 0;
-  // Frame grid: the first frame fires at the input index where decim
-  // samples have accumulated since the last frame (FirBlockDecimator's
-  // alignment), i.e. the frame's newest sample is work_[taps-1 + i].
-  for (std::size_t i = decim - 1 - phase_; i < n; i += decim, ++f) {
-    // Oldest-first window of `taps` samples ending at the frame instant:
-    // win[taps-1-m] is the sample m steps back.
-    const cplx* win = w + i;
-    // Branch sums: v[p] = sum_q h[p+qC] * x[t-p-qC]. Every prototype tap
-    // is touched exactly once, so this costs L complex-by-real multiplies
-    // per frame no matter how large C is.
-    if (params_.kernels == KernelPolicy::kSimd) {
-      simd::kernels().chzr_fold_f64(win, h, taps, fft_size, v);
-    } else {
-      for (std::size_t p = 0; p < fft_size; ++p) {
-        double re = 0.0, im = 0.0;
-        for (std::size_t m = p; m < taps; m += fft_size) {
-          const cplx x = win[taps - 1 - m];
-          re += h[m] * x.real();
-          im += h[m] * x.imag();
-        }
-        v[p] = cplx{re, im};
-      }
-    }
-    // inverse() gives (1/C) * sum_p v[p] e^{+j*2*pi*p*b/C}; the 1/C is
-    // pre-folded into scaled_proto_, leaving Y_b exactly.
-    fft_->inverse(v);
-    for (std::size_t k = 0; k < lane_nco_.size(); ++k) {
-      lanes_[k][f] = v[bins_[k]] * lane_nco_[k].next();
-    }
+  if (use_f32_) {
+    process_f32(in, n);
+  } else {
+    process_f64(in, n);
   }
-  phase_ = (phase_ + n) % decim;
-  std::copy(work_.end() - static_cast<std::ptrdiff_t>(taps - 1),
-            work_.end(), work_.begin());
-  work_.resize(taps - 1);
   last_frames_ = count;
   frames_produced_ += count;
   return count;
 }
 
-std::size_t PolyphaseChannelizer::process_f32(const cplx* in, std::size_t n) {
+void PolyphaseChannelizer::process_f64(const cplx* in, std::size_t n) {
   const std::size_t taps = scaled_proto_.size();
   const std::size_t fft_size = params_.fft_size;
   const std::size_t decim = params_.decimation;
-  // Interleaved float32 mirror of the window: history (taps-1 samples)
-  // already sits at the front; narrow the new block in behind it.
-  work_f_.resize(2 * (taps - 1 + n));
-  float* wf = work_f_.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    wf[2 * (taps - 1 + i)] = static_cast<float>(in[i].real());
-    wf[2 * (taps - 1 + i) + 1] = static_cast<float>(in[i].imag());
-  }
-  const std::size_t count = (phase_ + n) / decim;
-  for (auto& lane : lanes_) lane.resize(count);
+  const double* h = scaled_proto_.data();
+  cplx* v = spec_.data();
+  std::size_t f = 0;
+  window_.stream(
+      n, TileWindow<cplx>::copy_from(in),
+      [&](const cplx* w, std::size_t, std::size_t len) {
+        // Frame grid: the first frame fires at the tile index where decim
+        // samples have accumulated since the last frame
+        // (FirBlockDecimator's alignment), i.e. the frame's newest sample
+        // is w[taps-1 + i].
+        for (std::size_t i = decim - 1 - phase_; i < len; i += decim, ++f) {
+          // Oldest-first window of `taps` samples ending at the frame
+          // instant: win[taps-1-m] is the sample m steps back.
+          const cplx* win = w + i;
+          // Branch sums: v[p] = sum_q h[p+qC] * x[t-p-qC]. Every
+          // prototype tap is touched exactly once, so this costs L
+          // complex-by-real multiplies per frame no matter how large C is.
+          if (params_.kernels == KernelPolicy::kSimd) {
+            simd::kernels().chzr_fold_f64(win, h, taps, fft_size, v);
+          } else {
+            for (std::size_t p = 0; p < fft_size; ++p) {
+              double re = 0.0, im = 0.0;
+              for (std::size_t m = p; m < taps; m += fft_size) {
+                const cplx x = win[taps - 1 - m];
+                re += h[m] * x.real();
+                im += h[m] * x.imag();
+              }
+              v[p] = cplx{re, im};
+            }
+          }
+          // inverse() gives (1/C) * sum_p v[p] e^{+j*2*pi*p*b/C}; the 1/C
+          // is pre-folded into scaled_proto_, leaving Y_b exactly.
+          fft_->inverse(v);
+          for (std::size_t k = 0; k < lane_nco_.size(); ++k) {
+            lanes_[k][f] = v[bins_[k]] * lane_nco_[k].next();
+          }
+        }
+        phase_ = (phase_ + len) % decim;
+      });
+}
+
+void PolyphaseChannelizer::process_f32(const cplx* in, std::size_t n) {
+  const std::size_t taps = scaled_proto_.size();
+  const std::size_t fft_size = params_.fft_size;
+  const std::size_t decim = params_.decimation;
   const float* hd = proto_f_.data();
   float* v = spec_f_.data();
   auto* vc = reinterpret_cast<std::complex<float>*>(spec_f_.data());
   const auto& kt = simd::kernels();
   std::size_t f = 0;
-  // Same frame grid as the float64 path (identical phase arithmetic), so
-  // frame timestamps are bit-identical across fold precisions.
-  for (std::size_t i = decim - 1 - phase_; i < n; i += decim, ++f) {
-    kt.chzr_fold_cf32(wf + 2 * i, hd, taps, fft_size, v);
-    fft_->inverse_f(vc);
-    for (std::size_t k = 0; k < lane_f32_.size(); ++k) {
-      LaneF32& c = lane_f32_[k];
-      const float br = v[2 * bins_[k]];
-      const float bi = v[2 * bins_[k] + 1];
-      lanes_[k][f] = cplx{static_cast<double>(br * c.re - bi * c.im),
-                          static_cast<double>(br * c.im + bi * c.re)};
-      const float nre = c.re * c.rre - c.im * c.rim;
-      const float nim = c.re * c.rim + c.im * c.rre;
-      c.re = nre;
-      c.im = nim;
-      c.phase += c.step;
-    }
-    if (--f32_reseed_left_ == 0) {
-      // Chunk boundary (SimdNco idiom): fold the accumulated float32
-      // phase/magnitude drift back to the double master.
-      f32_reseed_left_ = kF32ReseedFrames;
-      for (LaneF32& c : lane_f32_) {
-        c.phase = std::fmod(c.phase, kTwoPi);
-        c.re = static_cast<float>(std::cos(c.phase));
-        c.im = static_cast<float>(std::sin(c.phase));
-      }
-    }
-  }
-  phase_ = (phase_ + n) % decim;
-  std::copy(work_f_.end() - static_cast<std::ptrdiff_t>(2 * (taps - 1)),
-            work_f_.end(), work_f_.begin());
-  work_f_.resize(2 * (taps - 1));
-  last_frames_ = count;
-  frames_produced_ += count;
-  return count;
+  window_f_.stream(
+      n,
+      // Interleaved float32 mirror of the window: narrow each tile in
+      // behind the history.
+      [in](float* dst, std::size_t off, std::size_t len) {
+        for (std::size_t i = 0; i < len; ++i) {
+          dst[2 * i] = static_cast<float>(in[off + i].real());
+          dst[2 * i + 1] = static_cast<float>(in[off + i].imag());
+        }
+      },
+      [&](const float* wf, std::size_t, std::size_t len) {
+        // Same frame grid as the float64 path (identical phase
+        // arithmetic), so frame timestamps are bit-identical across fold
+        // precisions.
+        for (std::size_t i = decim - 1 - phase_; i < len; i += decim, ++f) {
+          kt.chzr_fold_cf32(wf + 2 * i, hd, taps, fft_size, v);
+          fft_->inverse_f(vc);
+          for (std::size_t k = 0; k < lane_f32_.size(); ++k) {
+            LaneF32& c = lane_f32_[k];
+            const float br = v[2 * bins_[k]];
+            const float bi = v[2 * bins_[k] + 1];
+            lanes_[k][f] = cplx{static_cast<double>(br * c.re - bi * c.im),
+                                static_cast<double>(br * c.im + bi * c.re)};
+            const float nre = c.re * c.rre - c.im * c.rim;
+            const float nim = c.re * c.rim + c.im * c.rre;
+            c.re = nre;
+            c.im = nim;
+            c.phase += c.step;
+          }
+          if (--f32_reseed_left_ == 0) {
+            // Chunk boundary (SimdNco idiom): fold the accumulated float32
+            // phase/magnitude drift back to the double master.
+            f32_reseed_left_ = kF32ReseedFrames;
+            for (LaneF32& c : lane_f32_) {
+              c.phase = std::fmod(c.phase, kTwoPi);
+              c.re = static_cast<float>(std::cos(c.phase));
+              c.im = static_cast<float>(std::sin(c.phase));
+            }
+          }
+        }
+        phase_ = (phase_ + len) % decim;
+      });
 }
 
 }  // namespace arachnet::dsp

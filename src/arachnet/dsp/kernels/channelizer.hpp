@@ -10,6 +10,7 @@
 #include "arachnet/dsp/kernels/fft_plan.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
 #include "arachnet/dsp/kernels/nco.hpp"
+#include "arachnet/dsp/kernels/tile_window.hpp"
 
 namespace arachnet::dsp {
 
@@ -166,7 +167,10 @@ class PolyphaseChannelizer {
   static constexpr std::size_t kF32ReseedFrames = 4096;
 
   void seed_lane_nco(double center_hz);
-  std::size_t process_f32(const cplx* in, std::size_t n);
+  /// Frame loops of process(): fill lanes_ (already sized) and advance
+  /// phase_.
+  void process_f64(const cplx* in, std::size_t n);
+  void process_f32(const cplx* in, std::size_t n);
 
   Params params_;
   std::shared_ptr<const FftPlan> fft_;
@@ -175,15 +179,15 @@ class PolyphaseChannelizer {
   std::vector<std::size_t> bins_;     ///< per-lane FFT bin
   std::vector<PhasorNco> lane_nco_;   ///< per-lane e^{-j*w_k*t_F} phasor
   std::vector<std::vector<cplx>> lanes_;
-  std::vector<cplx> work_;  ///< history (L-1 samples) + current block
+  TileWindow<cplx> window_;  ///< history (L-1 samples) + current tile
   std::vector<cplx> spec_;  ///< size C: branch sums, FFT'd in place
   // Float32 fast path (engaged when use_f32_): duplicated float32
-  // prototype, interleaved float32 window mirror (replaces work_), branch
-  // scratch, and the per-lane phasors. lane_nco_ stays seeded in parallel
-  // so the two paths share add_lane()/frame-clock semantics.
+  // prototype, interleaved float32 window mirror (replaces window_),
+  // branch scratch, and the per-lane phasors. lane_nco_ stays seeded in
+  // parallel so the two paths share add_lane()/frame-clock semantics.
   bool use_f32_ = false;
   std::vector<float> proto_f_;    ///< scaled_proto_ duplicated elementwise
-  std::vector<float> work_f_;     ///< interleaved history + current block
+  TileWindow<float, 2> window_f_;  ///< interleaved history + current tile
   std::vector<float> spec_f_;     ///< 2*C floats: branch sums, FFT scratch
   std::vector<LaneF32> lane_f32_;
   std::size_t f32_reseed_left_ = kF32ReseedFrames;

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "arachnet/dsp/kernels/tile_window.hpp"
+
 namespace arachnet::dsp {
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -114,60 +116,65 @@ inline bool is_symmetric(const std::vector<double>& h) noexcept {
   return true;
 }
 
-/// Streaming block FIR filter: keeps taps-1 samples of history, copies
-/// each input block behind it into one contiguous work buffer, and runs a
-/// folded (or plain) contiguous dot per output. In-place operation
-/// (out == in) is allowed — the input is consumed into the work buffer
-/// before any output is written.
+/// Streaming block FIR filter: carries taps-1 samples of history and runs
+/// a folded (or plain) contiguous dot per output over a TileWindow, one
+/// kFirTile tile at a time. In-place operation (out == in) is allowed —
+/// each tile of input is consumed into the window before its outputs are
+/// written.
 template <typename Sample>
 class FirBlockFilter {
  public:
   explicit FirBlockFilter(std::vector<double> coeffs)
       : coeffs_(std::move(coeffs)),
         symmetric_(is_symmetric(coeffs_)),
-        work_(coeffs_.empty() ? 0 : coeffs_.size() - 1, Sample{}) {
+        window_(coeffs_.empty() ? 0 : coeffs_.size() - 1) {
     if (coeffs_.empty()) {
       throw std::invalid_argument("FirBlockFilter: empty coefficients");
     }
   }
 
   void process(const Sample* in, Sample* out, std::size_t n) {
-    const std::size_t taps = coeffs_.size();
-    work_.resize(taps - 1 + n);
-    std::copy(in, in + n, work_.begin() + static_cast<std::ptrdiff_t>(taps - 1));
-    const Sample* w = work_.data();
-    const double* h = coeffs_.data();
-    if (symmetric_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = fir_dot_symmetric(w + i, h, taps);
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = fir_dot(w + i, h, taps);
-    }
-    // The last taps-1 samples become the next block's history.
-    std::copy(work_.end() - static_cast<std::ptrdiff_t>(taps - 1), work_.end(),
-              work_.begin());
-    work_.resize(taps - 1);
+    stream(n, TileWindow<Sample>::copy_from(in), out);
   }
 
-  void reset() {
-    work_.assign(coeffs_.size() - 1, Sample{});
+  /// Filters `n` samples that `fill(dst, off, len)` writes straight into
+  /// the window, tile by tile (input samples [off, off+len) to `dst`) — a
+  /// mixer fused in front of the filter needs no block buffer of its own.
+  /// Writes n outputs to `out`.
+  template <typename Fill>
+  void stream(std::size_t n, Fill&& fill, Sample* out) {
+    const std::size_t taps = coeffs_.size();
+    const double* h = coeffs_.data();
+    window_.stream(n, fill,
+                   [&](const Sample* w, std::size_t off, std::size_t len) {
+                     Sample* o = out + off;
+                     if (symmetric_) {
+                       for (std::size_t i = 0; i < len; ++i) {
+                         o[i] = fir_dot_symmetric(w + i, h, taps);
+                       }
+                     } else {
+                       for (std::size_t i = 0; i < len; ++i) {
+                         o[i] = fir_dot(w + i, h, taps);
+                       }
+                     }
+                   });
   }
+
+  void reset() { window_.reset(); }
 
   std::size_t taps() const noexcept { return coeffs_.size(); }
 
  private:
   std::vector<double> coeffs_;
   bool symmetric_;
-  std::vector<Sample> work_;  ///< history (taps-1) between calls
+  TileWindow<Sample> window_;
 };
 
-/// Polyphase-style block decimating FIR: consumes a block and computes the
-/// filter dot product only at the samples that survive decimation, in one
-/// pass over a contiguous work buffer. Replaces the per-sample
-/// feed()/value() pair of the scalar Ddc path: the delay line is never
-/// written twice per sample, and between output points no work happens at
-/// all.
+/// Polyphase-style block decimating FIR: computes the filter dot product
+/// only at the samples that survive decimation, in one pass over each
+/// tile of a TileWindow. Replaces the per-sample feed()/value() pair of
+/// the scalar Ddc path: the delay line is never written twice per sample,
+/// and between output points no work happens at all.
 ///
 /// Output alignment matches the scalar decimator exactly: with `phase()`
 /// samples already consumed since the last output, the next output fires
@@ -179,7 +186,7 @@ class FirBlockDecimator {
       : coeffs_(std::move(coeffs)),
         decimation_(decimation),
         symmetric_(is_symmetric(coeffs_)),
-        work_(coeffs_.empty() ? 0 : coeffs_.size() - 1, Sample{}) {
+        window_(coeffs_.empty() ? 0 : coeffs_.size() - 1) {
     if (coeffs_.empty()) {
       throw std::invalid_argument("FirBlockDecimator: empty coefficients");
     }
@@ -192,32 +199,37 @@ class FirBlockDecimator {
   /// outputs to `out` (caller provides space for at least
   /// n / decimation + 1 samples). Returns the number written.
   std::size_t process(const Sample* in, std::size_t n, Sample* out) {
+    return stream(n, TileWindow<Sample>::copy_from(in), out);
+  }
+
+  /// As process(), over `n` samples that `fill(dst, off, len)` writes
+  /// straight into the window tile by tile (see FirBlockFilter::stream).
+  template <typename Fill>
+  std::size_t stream(std::size_t n, Fill&& fill, Sample* out) {
     const std::size_t taps = coeffs_.size();
-    work_.resize(taps - 1 + n);
-    std::copy(in, in + n, work_.begin() + static_cast<std::ptrdiff_t>(taps - 1));
-    const Sample* w = work_.data();
     const double* h = coeffs_.data();
     std::size_t count = 0;
-    // First output position: the input index at which the running sample
-    // counter reaches `decimation_`.
-    if (symmetric_) {
-      for (std::size_t i = decimation_ - 1 - phase_; i < n; i += decimation_) {
-        out[count++] = fir_dot_symmetric(w + i, h, taps);
-      }
-    } else {
-      for (std::size_t i = decimation_ - 1 - phase_; i < n; i += decimation_) {
-        out[count++] = fir_dot(w + i, h, taps);
-      }
-    }
-    phase_ = (phase_ + n) % decimation_;
-    std::copy(work_.end() - static_cast<std::ptrdiff_t>(taps - 1), work_.end(),
-              work_.begin());
-    work_.resize(taps - 1);
+    window_.stream(n, fill,
+                   [&](const Sample* w, std::size_t, std::size_t len) {
+                     // First output position: the tile index at which the
+                     // running sample counter reaches `decimation_`.
+                     const std::size_t first = decimation_ - 1 - phase_;
+                     if (symmetric_) {
+                       for (std::size_t i = first; i < len; i += decimation_) {
+                         out[count++] = fir_dot_symmetric(w + i, h, taps);
+                       }
+                     } else {
+                       for (std::size_t i = first; i < len; i += decimation_) {
+                         out[count++] = fir_dot(w + i, h, taps);
+                       }
+                     }
+                     phase_ = (phase_ + len) % decimation_;
+                   });
     return count;
   }
 
   void reset() {
-    work_.assign(coeffs_.size() - 1, Sample{});
+    window_.reset();
     phase_ = 0;
   }
 
@@ -231,7 +243,7 @@ class FirBlockDecimator {
   std::vector<double> coeffs_;
   std::size_t decimation_;
   bool symmetric_;
-  std::vector<Sample> work_;  ///< history (taps-1) between calls
+  TileWindow<Sample> window_;
   std::size_t phase_ = 0;
 };
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "arachnet/dsp/kernels/simd/simd_kernels.hpp"
+#include "arachnet/dsp/kernels/tile_window.hpp"
 
 namespace arachnet::dsp::simd {
 
@@ -19,12 +20,19 @@ namespace arachnet::dsp::simd {
 /// exactly (one fused multiply + remainder reduction per chunk), and the
 /// eight float32 phasor lanes are reseeded from it every kChunk samples.
 /// Float32 recurrence error therefore never accumulates past one chunk:
-/// 512 lane rotations at ~1e-7 relative rounding bounds in-chunk phase
-/// drift near 1e-4 rad, and a 10^8-sample run is as accurate as the
+/// 128 lane rotations at ~1e-7 relative rounding bounds in-chunk phase
+/// drift near 3e-5 rad, and a 10^8-sample run is as accurate as the
 /// first chunk — the long-run renormalization the scalar tiers get from
 /// PhasorNco::renorm() falls out of the reseed for free.
 class SimdNco {
  public:
+  /// Lane reseed cadence. The FIR stages feed the oscillator one
+  /// kFirTile tile per call, and every call starts a chunk, so a chunk
+  /// that divides the tile puts the reseeds on the same samples whether a
+  /// block is mixed whole or tile by tile. The reseed costs 18
+  /// transcendentals per chunk.
+  static constexpr std::size_t kChunk = 1024;
+
   SimdNco() = default;
   SimdNco(double phase_rad, double step_rad) { set(phase_rad, step_rad); }
 
@@ -75,10 +83,6 @@ class SimdNco {
   }
 
  private:
-  /// Lane reseed cadence; 16 transcendentals per chunk is noise at this
-  /// length, and 512 8-wide rotations keep float32 drift ~1e-4 rad.
-  static constexpr std::size_t kChunk = 4096;
-
   static double wrap(double p) noexcept {
     return std::remainder(p, 2.0 * std::numbers::pi);
   }
@@ -103,6 +107,9 @@ class SimdNco {
   double step_ = 0.0;
 };
 
+static_assert(kFirTile % SimdNco::kChunk == 0,
+              "a tile must hold whole oscillator chunks");
+
 /// Builds the reversed+duplicated float32 coefficient layout the kernel
 /// table's FIR entries expect (see simd_kernels.hpp).
 inline std::vector<float> duplicate_reversed(
@@ -119,37 +126,45 @@ inline std::vector<float> duplicate_reversed(
 
 /// Streaming float32 block FIR over interleaved complex buffers — the
 /// kSimd counterpart of FirBlockFilter<std::complex<double>>, same
-/// taps-1 history-carry contract. In-place operation (out == in) is
-/// allowed: the input is copied into the work buffer before any output
-/// is written.
+/// taps-1 history-carry contract over the same kFirTile tiles. In-place
+/// operation (out == in) is allowed: each tile of input is copied into the
+/// window before its outputs are written.
 class FirSimdFilter {
  public:
   explicit FirSimdFilter(const std::vector<double>& coeffs)
-      : hd_(duplicate_reversed(coeffs)), taps_(coeffs.size()) {
+      : hd_(duplicate_reversed(coeffs)),
+        taps_(coeffs.size()),
+        window_(taps_ == 0 ? 0 : taps_ - 1) {
     if (taps_ == 0) {
       throw std::invalid_argument("FirSimdFilter: empty coefficients");
     }
-    work_.assign(2 * (taps_ - 1), 0.0f);
   }
 
   void process(const float* in, float* out, std::size_t n) {
-    work_.resize(2 * (taps_ - 1 + n));
-    std::copy(in, in + 2 * n,
-              work_.begin() + static_cast<std::ptrdiff_t>(2 * (taps_ - 1)));
-    kernels().fir_block_cf32(work_.data(), hd_.data(), taps_, n, out);
-    std::copy(work_.end() - static_cast<std::ptrdiff_t>(2 * (taps_ - 1)),
-              work_.end(), work_.begin());
-    work_.resize(2 * (taps_ - 1));
+    stream(n, TileWindow<float, 2>::copy_from(in), out);
   }
 
-  void reset() { work_.assign(2 * (taps_ - 1), 0.0f); }
+  /// Filters `n` samples that `fill(dst, off, len)` writes straight into
+  /// the window as interleaved floats, tile by tile (see
+  /// FirBlockFilter::stream). Writes 2*n floats to `out`.
+  template <typename Fill>
+  void stream(std::size_t n, Fill&& fill, float* out) {
+    const KernelTable& k = kernels();
+    window_.stream(n, fill,
+                   [&](const float* w, std::size_t off, std::size_t len) {
+                     k.fir_block_cf32(w, hd_.data(), taps_, len,
+                                      out + 2 * off);
+                   });
+  }
+
+  void reset() { window_.reset(); }
 
   std::size_t taps() const noexcept { return taps_; }
 
  private:
   std::vector<float> hd_;
   std::size_t taps_;
-  std::vector<float> work_;  ///< interleaved history between calls
+  TileWindow<float, 2> window_;  ///< interleaved history + tile
 };
 
 /// float32 decimating FIR writing complex<double> outputs (the decimated
@@ -162,7 +177,8 @@ class FirSimdDecimator {
   FirSimdDecimator(const std::vector<double>& coeffs, std::size_t decimation)
       : hd_(duplicate_reversed(coeffs)),
         taps_(coeffs.size()),
-        decimation_(decimation) {
+        decimation_(decimation),
+        window_(taps_ == 0 ? 0 : taps_ - 1) {
     if (taps_ == 0) {
       throw std::invalid_argument("FirSimdDecimator: empty coefficients");
     }
@@ -170,7 +186,6 @@ class FirSimdDecimator {
       throw std::invalid_argument(
           "FirSimdDecimator: decimation must be >= 1");
     }
-    work_.assign(2 * (taps_ - 1), 0.0f);
   }
 
   /// Consumes n interleaved complex float32 samples, writes the
@@ -178,23 +193,32 @@ class FirSimdDecimator {
   /// Returns the number written.
   std::size_t process(const float* in, std::size_t n,
                       std::complex<double>* out) {
-    work_.resize(2 * (taps_ - 1 + n));
-    std::copy(in, in + 2 * n,
-              work_.begin() + static_cast<std::ptrdiff_t>(2 * (taps_ - 1)));
-    const std::size_t first = decimation_ - 1 - phase_;
+    return stream(n, TileWindow<float, 2>::copy_from(in), out);
+  }
+
+  /// As process(), over `n` samples that `fill(dst, off, len)` writes
+  /// straight into the window as interleaved floats, tile by tile.
+  template <typename Fill>
+  std::size_t stream(std::size_t n, Fill&& fill, std::complex<double>* out) {
+    const KernelTable& k = kernels();
     std::size_t count = 0;
-    if (first < n) count = (n - first + decimation_ - 1) / decimation_;
-    kernels().fir_decim_cf32(work_.data(), hd_.data(), taps_, first,
-                             decimation_, count, out);
-    phase_ = (phase_ + n) % decimation_;
-    std::copy(work_.end() - static_cast<std::ptrdiff_t>(2 * (taps_ - 1)),
-              work_.end(), work_.begin());
-    work_.resize(2 * (taps_ - 1));
+    window_.stream(n, fill,
+                   [&](const float* w, std::size_t, std::size_t len) {
+                     const std::size_t first = decimation_ - 1 - phase_;
+                     std::size_t got = 0;
+                     if (first < len) {
+                       got = (len - first + decimation_ - 1) / decimation_;
+                     }
+                     k.fir_decim_cf32(w, hd_.data(), taps_, first,
+                                      decimation_, got, out + count);
+                     count += got;
+                     phase_ = (phase_ + len) % decimation_;
+                   });
     return count;
   }
 
   void reset() {
-    work_.assign(2 * (taps_ - 1), 0.0f);
+    window_.reset();
     phase_ = 0;
   }
 
@@ -208,7 +232,7 @@ class FirSimdDecimator {
   std::vector<float> hd_;
   std::size_t taps_;
   std::size_t decimation_;
-  std::vector<float> work_;  ///< interleaved history between calls
+  TileWindow<float, 2> window_;  ///< interleaved history + tile
   std::size_t phase_ = 0;
 };
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "arachnet/dsp/kernels/tile_window.hpp"
 #include "arachnet/telemetry/log.hpp"
 #include "arachnet/telemetry/trace.hpp"
 
@@ -55,6 +56,11 @@ FdmaRxChain::Channel::Channel(double hz, double iq_rate, double chip_rate,
   lpf.emplace(coeffs);
   slpf.emplace(coeffs);
   blpf.emplace(std::move(coeffs));
+  if (kernels == dsp::KernelPolicy::kSimd) {
+    mixed_f.resize(2 * dsp::kFirTile);
+  } else {
+    mixed.resize(dsp::kFirTile);
+  }
 }
 
 FdmaRxChain::Channel::Channel(double hz, double chip_rate,
@@ -116,47 +122,59 @@ void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
   const std::uint64_t prev_frames = framer.packets();
   const std::uint64_t prev_crc = framer.crc_failures();
   iq_samples += n;
-  // Stage 1 (batch): shift this channel's subcarrier band to DC. The
-  // carrier leak sits at baseband DC, i.e. at -f_sc after the shift —
-  // outside the channel low-pass, so no explicit leak cancellation is
-  // needed here.
-  if (kernels == dsp::KernelPolicy::kSimd) {
-    // float32 lanes through mixer and LPF; the decision chain reads the
-    // interleaved buffer widened back to double per sample.
-    mixed_f.resize(2 * n);
-    nco_s.mix(iq, mixed_f.data(), n);
-    slpf->process(mixed_f.data(), mixed_f.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      cursor = base_index + i;
-      decide({static_cast<double>(mixed_f[2 * i]),
-              static_cast<double>(mixed_f[2 * i + 1])},
-             axis_alpha, iq_rate);
-    }
-    publish(n, prev_bits, prev_frames, prev_crc);
-    return;
-  }
-  mixed.resize(n);
-  if (kernels == dsp::KernelPolicy::kBlock) {
-    nco.mix(iq, mixed.data(), n);
-    // Stage 2 (batch): folded symmetric block low-pass, contiguous.
-    blpf->process(mixed.data(), mixed.data(), n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::complex<double> osc{std::cos(nco_phase),
-                                     std::sin(nco_phase)};
-      nco_phase += nco_step;
-      if (nco_phase < -2.0 * std::numbers::pi) {
-        nco_phase += 2.0 * std::numbers::pi;
+  // Stages 1-2 run one dsp::kFirTile tile at a time, so the channel's
+  // scratch is one tile whatever the block size. Stage 1 shifts this
+  // channel's subcarrier band to DC. The carrier leak sits at baseband
+  // DC, i.e. at -f_sc after the shift — outside the channel low-pass, so
+  // no explicit leak cancellation is needed here.
+  for (std::size_t off = 0; off < n; off += dsp::kFirTile) {
+    const std::size_t len = std::min(dsp::kFirTile, n - off);
+    const std::complex<double>* x = iq + off;
+    if (kernels == dsp::KernelPolicy::kSimd) {
+      // float32 lanes through mixer and LPF (the mixer writes straight
+      // into the filter's window); the decision chain reads the
+      // interleaved tile widened back to double per sample.
+      slpf->stream(
+          len,
+          [&](float* dst, std::size_t o, std::size_t l) {
+            nco_s.mix(x + o, dst, l);
+          },
+          mixed_f.data());
+      for (std::size_t i = 0; i < len; ++i) {
+        cursor = base_index + off + i;
+        decide({static_cast<double>(mixed_f[2 * i]),
+                static_cast<double>(mixed_f[2 * i + 1])},
+               axis_alpha, iq_rate);
       }
-      mixed[i] = iq[i] * osc;
+      continue;
     }
-    // Stage 2 (batch): channel low-pass over the contiguous block.
-    lpf->process(mixed.data(), mixed.data(), n);
-  }
-  // Stage 3: the per-sample decision chain.
-  for (std::size_t i = 0; i < n; ++i) {
-    cursor = base_index + i;
-    decide(mixed[i], axis_alpha, iq_rate);
+    if (kernels == dsp::KernelPolicy::kBlock) {
+      // Stage 2: folded symmetric block low-pass, the mixer writing
+      // straight into its window.
+      blpf->stream(
+          len,
+          [&](std::complex<double>* dst, std::size_t o, std::size_t l) {
+            nco.mix(x + o, dst, l);
+          },
+          mixed.data());
+    } else {
+      for (std::size_t i = 0; i < len; ++i) {
+        const std::complex<double> osc{std::cos(nco_phase),
+                                       std::sin(nco_phase)};
+        nco_phase += nco_step;
+        if (nco_phase < -2.0 * std::numbers::pi) {
+          nco_phase += 2.0 * std::numbers::pi;
+        }
+        mixed[i] = x[i] * osc;
+      }
+      // Stage 2: channel low-pass over the contiguous tile.
+      lpf->process(mixed.data(), mixed.data(), len);
+    }
+    // Stage 3: the per-sample decision chain.
+    for (std::size_t i = 0; i < len; ++i) {
+      cursor = base_index + off + i;
+      decide(mixed[i], axis_alpha, iq_rate);
+    }
   }
   publish(n, prev_bits, prev_frames, prev_crc);
 }

@@ -270,12 +270,12 @@ class FdmaRxChain {
     dsp::PhasorNco nco;      ///< block-path mixer state
     std::optional<dsp::FirFilter<std::complex<double>>> lpf;  ///< scalar LPF
     std::optional<dsp::FirBlockFilter<std::complex<double>>> blpf;
-    std::vector<std::complex<double>> mixed;  ///< per-block scratch
+    std::vector<std::complex<double>> mixed;  ///< one filtered tile
     // Simd-path mixer state: float32 lanes end-to-end through the LPF,
     // widened back to double at the decision chain.
     dsp::simd::SimdNco nco_s;
     std::optional<dsp::simd::FirSimdFilter> slpf;
-    std::vector<float> mixed_f;  ///< interleaved per-block scratch
+    std::vector<float> mixed_f;  ///< one interleaved filtered tile
     std::size_t lane_decim = 0;  ///< 0 = per-channel mode
     std::int64_t lane_delay = 0;
     std::complex<double> pseudo_variance{0.0, 0.0};

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "arachnet/dsp/kernels/tile_window.hpp"
+
 namespace arachnet::reader {
 namespace {
 
@@ -80,7 +82,11 @@ RxChain::RxChain(Params params)
         packets_.push_back(RxPacket{
             pkt, static_cast<double>(sample_count_) /
                      params_.ddc.sample_rate_hz});
-      }) {}
+      }) {
+  if (params_.ddc.kernels != dsp::KernelPolicy::kScalar) {
+    iq_buf_.reserve(dsp::kFirTile / params_.ddc.decimation + 1);
+  }
+}
 
 void RxChain::on_iq(std::complex<double> iq) {
   // Optional one-shot frequency-offset calibration (paper lists a
@@ -167,22 +173,27 @@ void RxChain::process(const double* samples, std::size_t n) {
     }
     return;
   }
-  // Block path: one pass of the DDC's mix+decimate kernels over the whole
-  // block, then the per-IQ decision chain. Packet timestamps must match
-  // the scalar path bit-for-bit: in scalar operation an IQ sample emitted
-  // at raw sample k sees sample_count_ == k, so reconstruct that count
-  // from the decimation phase the DDC had when the block began.
-  const std::size_t phase = ddc_.decimation_phase();
-  const std::size_t base = sample_count_;
+  // Block path: the DDC's mix+decimate kernels over one dsp::kFirTile
+  // tile at a time, then the per-IQ decision chain over that tile's
+  // output — iq_buf_ never holds more than one tile's worth. Packet
+  // timestamps must match the scalar path bit-for-bit: in scalar
+  // operation an IQ sample emitted at raw sample k sees sample_count_ ==
+  // k, so reconstruct that count from the decimation phase the DDC had
+  // when the tile began.
   const std::size_t decim = params_.ddc.decimation;
-  iq_buf_.clear();
-  const std::size_t got =
-      ddc_.process(std::span<const double>{samples, n}, iq_buf_);
-  for (std::size_t j = 0; j < got; ++j) {
-    sample_count_ = base + (decim - phase) + j * decim;
-    on_iq(iq_buf_[j]);
+  for (std::size_t off = 0; off < n; off += dsp::kFirTile) {
+    const std::size_t len = std::min(dsp::kFirTile, n - off);
+    const std::size_t phase = ddc_.decimation_phase();
+    const std::size_t base = sample_count_;
+    iq_buf_.clear();
+    const std::size_t got =
+        ddc_.process(std::span<const double>{samples + off, len}, iq_buf_);
+    for (std::size_t j = 0; j < got; ++j) {
+      sample_count_ = base + (decim - phase) + j * decim;
+      on_iq(iq_buf_[j]);
+    }
+    sample_count_ = base + len;
   }
-  sample_count_ = base + n;
 }
 
 bool RxChain::collision_detected(sim::Rng& rng) const {

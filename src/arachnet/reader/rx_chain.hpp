@@ -148,8 +148,8 @@ class RxChain {
   double freq_offset_hz_ = 0.0;
   bool freq_calibrated_ = false;
   std::vector<std::complex<double>> cal_buffer_;
-  /// Block-policy scratch for the DDC output, reused across process()
-  /// calls (no steady-state allocation).
+  /// Block-policy scratch for one DDC tile's output (at most
+  /// kFirTile / decimation + 1 samples), reserved at construction.
   std::vector<std::complex<double>> iq_buf_;
 };
 

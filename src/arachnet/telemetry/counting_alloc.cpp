@@ -4,10 +4,11 @@
 #include <cstdlib>
 #include <new>
 
-// Replacement global allocation operators: malloc/free plus one relaxed
-// atomic increment per call. Defined in the same translation unit as the
-// guard, so static-archive pull-in makes them binary-local to the tests
-// and benches that audit allocations (see the header). Counting is
+// Replacement global allocation operators: malloc/free plus relaxed
+// atomic counter updates (a count, and for allocations the requested
+// bytes) per call. Defined in the same translation unit as the guard, so
+// static-archive pull-in makes them binary-local to the tests and
+// benches that audit allocations (see the header). Counting is
 // unconditional — a branch per operator would cost as much as the
 // increment — and the operators never allocate themselves, so they are
 // reentrancy-safe.
@@ -16,15 +17,21 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_deallocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+void count_alloc(std::size_t size) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(size);
   // malloc(0) may return nullptr; operator new must not (unless nothrow).
   return std::malloc(size != 0 ? size : 1);
 }
 
 void* counted_alloc_aligned(std::size_t size, std::size_t align) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(size);
   // posix_memalign (unlike std::aligned_alloc) does not require the size
   // to be a multiple of the alignment; its result is free()-compatible.
   if (align < sizeof(void*)) align = sizeof(void*);
@@ -112,13 +119,15 @@ namespace arachnet::telemetry {
 
 AllocCounts alloc_counts() noexcept {
   return {g_allocs.load(std::memory_order_relaxed),
-          g_deallocs.load(std::memory_order_relaxed)};
+          g_deallocs.load(std::memory_order_relaxed),
+          g_bytes.load(std::memory_order_relaxed)};
 }
 
 CountingAllocatorGuard::CountingAllocatorGuard() noexcept {
   const AllocCounts c = alloc_counts();
   base_allocs_ = c.allocations;
   base_deallocs_ = c.deallocations;
+  base_bytes_ = c.bytes;
 }
 
 std::uint64_t CountingAllocatorGuard::allocations() const noexcept {
@@ -127,6 +136,10 @@ std::uint64_t CountingAllocatorGuard::allocations() const noexcept {
 
 std::uint64_t CountingAllocatorGuard::deallocations() const noexcept {
   return g_deallocs.load(std::memory_order_relaxed) - base_deallocs_;
+}
+
+std::uint64_t CountingAllocatorGuard::bytes() const noexcept {
+  return g_bytes.load(std::memory_order_relaxed) - base_bytes_;
 }
 
 }  // namespace arachnet::telemetry

@@ -8,9 +8,10 @@ namespace arachnet::telemetry {
 struct AllocCounts {
   std::uint64_t allocations = 0;    ///< operator new / new[] calls
   std::uint64_t deallocations = 0;  ///< operator delete / delete[] calls
+  std::uint64_t bytes = 0;          ///< bytes requested by those news
 };
 
-/// Totals since process start. Zero (both fields) when the counting
+/// Totals since process start. Zero (every field) when the counting
 /// operators are not linked into this binary — see the linkage note on
 /// CountingAllocatorGuard.
 AllocCounts alloc_counts() noexcept;
@@ -30,7 +31,7 @@ AllocCounts alloc_counts() noexcept;
 /// How the counting works — and why this stays out of production
 /// binaries: counting_alloc.cpp defines replacement global operator
 /// new/new[]/delete/delete[] (all sized/nothrow/aligned variants) that
-/// forward to malloc/free around one relaxed atomic increment each.
+/// forward to malloc/free around relaxed atomic counter updates.
 /// arachnet is a static library, so that translation unit is only pulled
 /// into binaries that reference something in it — i.e. binaries that use
 /// this guard (tests and benches). Every other binary links the normal
@@ -51,10 +52,15 @@ class CountingAllocatorGuard {
   std::uint64_t allocations() const noexcept;
   /// Heap deallocations since construction.
   std::uint64_t deallocations() const noexcept;
+  /// Heap bytes requested since construction (the sizes passed to
+  /// operator new; frees do not subtract). Two runs that grow the same
+  /// buffers to the same high-water marks request the same bytes.
+  std::uint64_t bytes() const noexcept;
 
  private:
   std::uint64_t base_allocs_ = 0;
   std::uint64_t base_deallocs_ = 0;
+  std::uint64_t base_bytes_ = 0;
 };
 
 }  // namespace arachnet::telemetry

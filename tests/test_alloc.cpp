@@ -1,26 +1,37 @@
 // Steady-state allocation audit (telemetry/counting_alloc):
-// CountingAllocatorGuard semantics first, then the two contracts the
-// guard exists to enforce — after warm-up, the FdmaRxChain decode loop
-// and the ReaderService session loop perform zero heap allocations per
-// block. Linking this binary pulls the counting global new/delete in
-// from the static library (see counting_alloc.hpp), so every heap
-// operation in the process is visible to the guard.
+// CountingAllocatorGuard semantics first, then the contracts the guard
+// exists to enforce — after warm-up, the FdmaRxChain decode loop and the
+// ReaderService session loop perform zero heap allocations per block,
+// and the scratch the DDC, the block FIR stages and RxChain grow to does
+// not depend on the caller's block size. Linking this binary pulls the
+// counting global new/delete in from the static library (see
+// counting_alloc.hpp), so every heap operation in the process is visible
+// to the guard.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <numbers>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "arachnet/acoustic/waveform_channel.hpp"
+#include "arachnet/dsp/ddc.hpp"
+#include "arachnet/dsp/fir.hpp"
+#include "arachnet/dsp/kernels/fir_kernels.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
+#include "arachnet/dsp/kernels/simd/stages.hpp"
 #include "arachnet/phy/fm0.hpp"
 #include "arachnet/phy/packet.hpp"
 #include "arachnet/phy/subcarrier.hpp"
 #include "arachnet/reader/fdma_rx.hpp"
+#include "arachnet/reader/rx_chain.hpp"
 #include "arachnet/reader/service/reader_service.hpp"
 #include "arachnet/sim/rng.hpp"
 #include "arachnet/telemetry/counting_alloc.hpp"
@@ -79,6 +90,21 @@ TEST(CountingAlloc, DeleteNullptrDoesNotCount) {
   int* p = nullptr;
   delete p;  // must be a no-op, not a counted free
   EXPECT_EQ(guard.deallocations(), 0u);
+}
+
+TEST(CountingAlloc, CountsRequestedBytes) {
+  CountingAllocatorGuard guard;
+  static double* volatile sink;
+  sink = new double[17];
+  delete[] sink;
+  EXPECT_GE(guard.bytes(), 17 * sizeof(double));
+  // Frees do not subtract; growth within capacity requests nothing.
+  std::vector<char> v;
+  v.reserve(1000);
+  const std::uint64_t reserved = guard.bytes();
+  EXPECT_GE(reserved, 17 * sizeof(double) + 1000);
+  v.resize(1000);
+  EXPECT_EQ(guard.bytes(), reserved);
 }
 
 TEST(CountingAlloc, GuardConstructionIsAllocationFree) {
@@ -153,6 +179,129 @@ void expect_steady_state_clean(
       << "per-block decode loop allocated in steady state";
   EXPECT_EQ(guard.deallocations(), 0u);
   EXPECT_GE(packets, 4u) << "measured pass must decode real packets";
+}
+
+// ------------------------------------- scratch independent of block size
+
+using arachnet::dsp::KernelPolicy;
+using cplx = std::complex<double>;
+
+constexpr std::size_t kSmallBlock = 10'000;
+constexpr std::size_t kLargeBlock = 100'000;
+constexpr KernelPolicy kPolicies[] = {KernelPolicy::kScalar,
+                                      KernelPolicy::kBlock,
+                                      KernelPolicy::kSimd};
+
+// The bare 90 kHz carrier: DDC input that decodes to nothing, so no
+// packet list or framer body grows alongside the scratch under test.
+std::vector<double> carrier(std::size_t n) {
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = std::cos(2.0 * std::numbers::pi * 90e3 / 500e3 *
+                    static_cast<double>(i));
+  }
+  return x;
+}
+
+// Heap bytes a fresh Ddc requests to construct and process one n-sample
+// block. The input and the caller's output (reserved) exist beforehand.
+std::uint64_t ddc_warm_bytes(KernelPolicy policy, std::size_t n) {
+  arachnet::dsp::Ddc::Params p;
+  p.kernels = policy;
+  const auto in = carrier(n);
+  std::vector<cplx> out;
+  out.reserve(n / p.decimation + 1);
+  CountingAllocatorGuard guard;
+  arachnet::dsp::Ddc ddc{p};
+  ddc.process(std::span<const double>{in}, out);
+  EXPECT_EQ(out.size(), n / p.decimation);
+  return guard.bytes();
+}
+
+// Same for a streaming RxChain (no retained IQ points).
+std::uint64_t rx_chain_warm_bytes(KernelPolicy policy, std::size_t n) {
+  arachnet::reader::RxChain::Params p;
+  p.ddc.kernels = policy;
+  p.retain_iq_points = false;
+  const auto in = carrier(n);
+  CountingAllocatorGuard guard;
+  arachnet::reader::RxChain chain{p};
+  chain.process(in.data(), in.size());
+  EXPECT_EQ(chain.samples_consumed(), n);
+  return guard.bytes();
+}
+
+TEST(ScratchBytes, DdcWarmUpDoesNotGrowWithBlockSize) {
+  for (const KernelPolicy policy : kPolicies) {
+    const std::uint64_t small = ddc_warm_bytes(policy, kSmallBlock);
+    EXPECT_EQ(small, ddc_warm_bytes(policy, kLargeBlock))
+        << arachnet::dsp::to_string(policy);
+    // Less than one small block of mixed complex samples: the scratch
+    // is a tile, not a block.
+    EXPECT_LT(small, kSmallBlock * sizeof(cplx))
+        << arachnet::dsp::to_string(policy);
+  }
+}
+
+TEST(ScratchBytes, RxChainWarmUpDoesNotGrowWithBlockSize) {
+  // The first chain in the process also sets up one-time process-wide
+  // state; keep that out of the comparison.
+  rx_chain_warm_bytes(KernelPolicy::kScalar, 1);
+  for (const KernelPolicy policy : kPolicies) {
+    const std::uint64_t small = rx_chain_warm_bytes(policy, kSmallBlock);
+    EXPECT_EQ(small, rx_chain_warm_bytes(policy, kLargeBlock))
+        << arachnet::dsp::to_string(policy);
+    EXPECT_LT(small, kSmallBlock * sizeof(cplx))
+        << arachnet::dsp::to_string(policy);
+  }
+}
+
+TEST(ScratchBytes, BlockFirStagesWarmUpDoesNotGrowWithBlockSize) {
+  const auto coeffs = arachnet::dsp::design_lowpass(6e3, 500e3, 129);
+  // Heap bytes `run` requests for a fresh stage and one n-sample block;
+  // input and output buffers (complex<double> and interleaved float32)
+  // exist beforehand.
+  const auto warm_bytes = [](std::size_t n, const auto& run) {
+    const std::vector<cplx> in(n, cplx{0.5, -0.25});
+    const std::vector<float> in_f(2 * n, 0.5f);
+    std::vector<cplx> out(n);
+    std::vector<float> out_f(2 * n);
+    CountingAllocatorGuard guard;
+    run(in, in_f, out, out_f);
+    return guard.bytes();
+  };
+  const auto block_filter = [&](const auto& in, const auto&, auto& out,
+                                auto&) {
+    arachnet::dsp::FirBlockFilter<cplx> f{coeffs};
+    f.process(in.data(), out.data(), in.size());
+  };
+  const auto block_decimator = [&](const auto& in, const auto&, auto& out,
+                                   auto&) {
+    arachnet::dsp::FirBlockDecimator<cplx> d{coeffs, 16};
+    d.process(in.data(), in.size(), out.data());
+  };
+  const auto simd_filter = [&](const auto&, const auto& in_f, auto&,
+                               auto& out_f) {
+    arachnet::dsp::simd::FirSimdFilter f{coeffs};
+    f.process(in_f.data(), out_f.data(), in_f.size() / 2);
+  };
+  const auto simd_decimator = [&](const auto&, const auto& in_f, auto& out,
+                                  auto&) {
+    arachnet::dsp::simd::FirSimdDecimator d{coeffs, 16};
+    d.process(in_f.data(), in_f.size() / 2, out.data());
+  };
+  EXPECT_EQ(warm_bytes(kSmallBlock, block_filter),
+            warm_bytes(kLargeBlock, block_filter))
+      << "FirBlockFilter";
+  EXPECT_EQ(warm_bytes(kSmallBlock, block_decimator),
+            warm_bytes(kLargeBlock, block_decimator))
+      << "FirBlockDecimator";
+  EXPECT_EQ(warm_bytes(kSmallBlock, simd_filter),
+            warm_bytes(kLargeBlock, simd_filter))
+      << "FirSimdFilter";
+  EXPECT_EQ(warm_bytes(kSmallBlock, simd_decimator),
+            warm_bytes(kLargeBlock, simd_decimator))
+      << "FirSimdDecimator";
 }
 
 TEST(SteadyStateAlloc, FdmaChannelizerBankDecodeLoopIsAllocationFree) {
