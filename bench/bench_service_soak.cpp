@@ -1,5 +1,5 @@
 // Multi-session reader service soak: N concurrent 500 kS/s capture
-// sessions multiplexed over one shared worker pool (ReaderService).
+// sessions multiplexed over the decode workers of one ReaderService.
 //
 // Two phases:
 //  1. paced  — every session streams real-time-paced DAQ blocks (10 000

@@ -25,6 +25,9 @@ asserts the ReaderService scaling contract:
      across the paced soak stays bounded (a leaking session fleet shows
      up here; 256 MiB leaves room for allocator noise and warm pools).
 
+The paced stage split (soak.stage.dispatch_wait_ms and
+soak.stage.process_ms, p50/p99) is printed when present, without a bound.
+
 Usage: check_service_soak.py BENCH_service_soak.json
 """
 
@@ -105,6 +108,12 @@ def main() -> int:
               f"(paced drop rate {m['soak.paced_drop_rate']:.4f})")
         print(f"  packets decoded     {m['soak.packets']:.0f}")
         print(f"  block latency       p50 {p50:.3f} ms, p99 {p99:.3f} ms")
+        # Report-only: where the block latency goes (no bound on these).
+        for stage, label in (("dispatch_wait_ms", "dispatch wait"),
+                             ("process_ms", "chain processing")):
+            p = [m.get(f"soak.stage.{stage}.p{q}") for q in (50, 99)]
+            if None not in p:
+                print(f"  {label:<19} p50 {p[0]:.3f} ms, p99 {p[1]:.3f} ms")
         print(f"  capacity            "
               f"{m['soak.capacity_sessions_per_core']:.2f} sessions/core")
         print(f"  rss growth          {m['soak.rss_growth_kib']:.0f} KiB")

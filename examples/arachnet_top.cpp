@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   }
   reader::service::watch_service(monitor, svc);
 
-  // Optional stall demo: a session on a service whose dispatcher never
+  // Optional stall demo: a session on a service whose workers never
   // started accepts submits (up to its in-flight cap) but processes
   // nothing — exactly the signature the stall watchdog looks for.
   ReaderService::Params frozen_params;
@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
     if (vid.has_value()) {
       telemetry::HealthMonitor::ProgressProbe probe;
       probe.name = "victim";
-      // Processed-only progress: the frozen dispatcher drops over-cap
+      // Processed-only progress: the frozen service drops over-cap
       // submits, and those drops must not read as forward progress here.
       probe.progress = [&frozen, id = *vid] {
         const auto st = frozen.session_stats(id);

@@ -35,7 +35,6 @@ ReaderService::ReaderService(Params params)
     : params_(params),
       workers_(resolve_workers(params.workers)),
       max_sessions_(resolve_max_sessions(params.sessions_per_core, workers_)),
-      pool_(std::make_unique<dsp::WorkerPool>(workers_ - 1)),
       queue_(params.dispatch_capacity == 0 ? 4 * workers_
                                            : params.dispatch_capacity) {
   if (auto* m = params_.metrics) {
@@ -65,19 +64,22 @@ ReaderService::ReaderService(Params params)
 ReaderService::~ReaderService() { stop(); }
 
 void ReaderService::start() {
-  if (stopped_ || dispatcher_.joinable()) return;
+  if (stopped_ || !threads_.empty()) return;
   ARACHNET_LOG_INFO("service", "starting reader service",
                     {"workers", workers_},
                     {"max_sessions", max_sessions_},
                     {"dispatch_capacity", queue_.capacity()});
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  threads_.reserve(workers_);
+  for (std::size_t i = 0; i < workers_; ++i) {
+    threads_.emplace_back([this] { work_loop(); });
+  }
 }
 
 void ReaderService::stop() {
   if (stopped_) return;
   stopped_ = true;
-  queue_.close();  // dispatcher drains the remaining backlog, then exits
-  if (dispatcher_.joinable()) dispatcher_.join();
+  queue_.close();  // workers drain the remaining backlog, then exit
+  for (auto& t : threads_) t.join();
   std::lock_guard lock{sessions_mutex_};
   for (auto& [id, s] : sessions_) {
     if (!s->closed.exchange(true)) --active_;
@@ -163,7 +165,7 @@ bool ReaderService::submit(SessionId id, Block block) {
     if (s->in_flight.load(std::memory_order_relaxed) >=
         s->cfg.max_blocks_in_flight) {
       count_drop(s, /*expired=*/false);
-      s->recycle_block(std::move(block));  // keep the producer's pool warm
+      recycle_block(std::move(block));  // keep the producer's pool warm
       return false;
     }
     s->in_flight.fetch_add(1);
@@ -172,20 +174,21 @@ bool ReaderService::submit(SessionId id, Block block) {
             ? 0
             : static_cast<std::uint64_t>(s->cfg.ttl_s * 1e9);
     std::optional<WorkItem> displaced;
-    const auto outcome = queue_.push(WorkItem{s, std::move(block), now},
-                                     s->cfg.priority, now, ttl_ns, &displaced);
+    const auto outcome =
+        queue_.push(id, WorkItem{s, std::move(block), now}, s->cfg.priority,
+                    now, ttl_ns, &displaced);
     switch (outcome) {
-      case DispatchQueue<WorkItem>::Push::kAccepted:
+      case decltype(queue_)::Push::kAccepted:
         break;
-      case DispatchQueue<WorkItem>::Push::kDisplaced:
+      case decltype(queue_)::Push::kDisplaced:
         // The evicted block's owner is charged the drop. Its Session* is
         // valid: a queued item held an in-flight credit, so the slot
         // cannot have been reaped (reaping needs in_flight == 0 under
         // this same mutex).
         drop_item(*displaced, /*expired=*/false);
         break;
-      case DispatchQueue<WorkItem>::Push::kRejected:
-      case DispatchQueue<WorkItem>::Push::kClosed:
+      case decltype(queue_)::Push::kRejected:
+      case decltype(queue_)::Push::kClosed:
         s->in_flight.fetch_sub(1);
         count_drop(s, /*expired=*/false);
         return false;
@@ -221,10 +224,23 @@ std::optional<RxPacket> ReaderService::wait_packet(SessionId id) {
 }
 
 ReaderService::Block ReaderService::acquire_block(SessionId id) {
-  std::lock_guard lock{sessions_mutex_};
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return {};
-  return it->second->acquire_block();
+  {
+    std::lock_guard lock{sessions_mutex_};
+    if (!sessions_.contains(id)) return {};
+  }
+  std::lock_guard lock{pool_mutex_};
+  if (block_pool_.empty()) return {};
+  Block b = std::move(block_pool_.back());
+  block_pool_.pop_back();
+  return b;
+}
+
+void ReaderService::recycle_block(Block block) {
+  block.clear();
+  std::lock_guard lock{pool_mutex_};
+  if (block_pool_.size() < queue_.capacity() + workers_ + max_sessions_) {
+    block_pool_.push_back(std::move(block));
+  }
 }
 
 std::optional<SessionStats> ReaderService::session_stats(SessionId id) const {
@@ -257,118 +273,96 @@ ReaderService::Stats ReaderService::stats() const {
   return st;
 }
 
-void ReaderService::dispatch_loop() {
-  const std::size_t max_batch = params_.max_batch == 0 ? 1 : params_.max_batch;
+void ReaderService::work_loop() {
+  using Pop = decltype(queue_)::Pop;
+  WorkItem item;
   for (;;) {
-    batch_.clear();
-    expired_.clear();
-    // Fresh clock per iteration: when the queue is backlogged pop_batch
-    // returns immediately, so TTL expiry is evaluated against "now".
-    // (When it blocks on an empty queue, every item it wakes for was
-    // pushed after this timestamp and so cannot have expired yet.)
-    const std::uint64_t now = steady_now_ns();
-    if (!queue_.pop_batch(max_batch, now, &batch_, &expired_)) break;
-    for (auto& item : expired_) drop_item(item, /*expired=*/true);
-    if (!batch_.empty()) {
-      // Group the batch by session, preserving per-session FIFO order.
-      // One group = one pool task, so a session's chain is only ever
-      // touched by one worker at a time. Linear scan: batches are small
-      // (≤ max_batch) and groups fewer still.
-      std::size_t ngroups = 0;
-      for (auto& item : batch_) {
-        Group* g = nullptr;
-        for (std::size_t i = 0; i < ngroups; ++i) {
-          if (groups_[i].session == item.session) {
-            g = &groups_[i];
-            break;
-          }
-        }
-        if (g == nullptr) {
-          if (ngroups == groups_.size()) groups_.emplace_back();
-          g = &groups_[ngroups++];
-          g->session = item.session;
-          g->items.clear();
-        }
-        g->items.push_back(std::move(item));
-      }
-      auto fn = [this](std::size_t i) { process_group(groups_[i]); };
-      pool_->run(ngroups, fn);
-    }
+    const Pop popped = queue_.pop(steady_now_ns, &item);
+    if (popped == Pop::kClosed) return;
     if (g_dispatch_depth_ != nullptr) {
       g_dispatch_depth_->set(static_cast<double>(queue_.size()));
     }
+    if (popped == Pop::kExpired) {
+      drop_item(item, /*expired=*/true);
+      continue;
+    }
+    Session* s = item.session;
+    const SessionId id = s->id;
+    if (s->shed.load(std::memory_order_acquire)) {
+      // Admission control force-closed this session after the block was
+      // queued: abandon it (counted as dropped), don't burn worker time.
+      count_drop(s, /*expired=*/false);
+    } else {
+      process(item);
+    }
+    recycle_block(std::move(item.block));
+    finish_block(s);
+    // Release after the credit is back: blocks_processed then runs at most
+    // one block ahead of in_flight. The slot may be reaped by now, which is
+    // harmless as ids are never reused.
+    queue_.release(id);
   }
 }
 
-void ReaderService::process_group(Group& group) {
-  Session* s = group.session;
-  for (auto& item : group.items) {
-    if (s->shed.load(std::memory_order_acquire)) {
-      // Admission control force-closed this session after the block was
-      // queued: abandon it (counted as dropped), don't burn pool time.
-      drop_item(item, /*expired=*/false);
-      continue;
+void ReaderService::process(WorkItem& item) {
+  Session* s = item.session;
+  // Stage attribution: dispatch-queue wait (submit -> here), chain
+  // decode, packet emit. Three extra clock reads per ~20 ms block —
+  // cheap enough to take unconditionally so SessionStats stage sums
+  // stay populated even without a registry.
+  const std::uint64_t t_pickup = steady_now_ns();
+  const std::size_t n = item.block.size();
+  s->chain->process(item.block.data(), n);
+  const std::uint64_t t_decoded = steady_now_ns();
+  s->samples_processed.fetch_add(n, std::memory_order_relaxed);
+  // Drain the chain's decode list every block (the RealtimeReader leak
+  // discipline): frames_total stays monotonic across the clears.
+  const auto& pkts = s->chain->packets();
+  std::uint64_t emitted = 0;
+  std::uint64_t dropped = 0;
+  for (const auto& pkt : pkts) {
+    if (s->output->try_push(pkt)) {
+      ++emitted;
+    } else {
+      ++dropped;  // full or closed output: the consumer's loss, counted
     }
-    // Stage attribution: dispatch-queue wait (submit -> here), chain
-    // decode, packet emit. Three extra clock reads per ~20 ms block —
-    // cheap enough to take unconditionally so SessionStats stage sums
-    // stay populated even without a registry.
-    const std::uint64_t t_pickup = steady_now_ns();
-    const std::size_t n = item.block.size();
-    s->chain->process(item.block.data(), n);
-    const std::uint64_t t_decoded = steady_now_ns();
-    s->samples_processed.fetch_add(n, std::memory_order_relaxed);
-    // Drain the chain's decode list every block (the RealtimeReader leak
-    // discipline): frames_total stays monotonic across the clears.
-    const auto& pkts = s->chain->packets();
-    std::uint64_t emitted = 0;
-    std::uint64_t dropped = 0;
-    for (const auto& pkt : pkts) {
-      if (s->output->try_push(pkt)) {
-        ++emitted;
-      } else {
-        ++dropped;  // full or closed output: the consumer's loss, counted
-      }
-    }
-    s->frames_total.fetch_add(pkts.size(), std::memory_order_relaxed);
-    s->chain->clear_packets();
-    s->crc_failures.store(s->chain->crc_failures(),
-                          std::memory_order_relaxed);
-    if (emitted != 0) {
-      s->packets_emitted.fetch_add(emitted, std::memory_order_relaxed);
-      packets_emitted_.fetch_add(emitted, std::memory_order_relaxed);
-      if (c_packets_emitted_ != nullptr) c_packets_emitted_->add(emitted);
-    }
-    if (dropped != 0) {
-      s->packets_dropped.fetch_add(dropped, std::memory_order_relaxed);
-      packets_dropped_.fetch_add(dropped, std::memory_order_relaxed);
-      if (c_packets_dropped_ != nullptr) c_packets_dropped_->add(dropped);
-    }
-    s->blocks_processed.fetch_add(1, std::memory_order_relaxed);
-    blocks_processed_.fetch_add(1, std::memory_order_relaxed);
-    if (c_blocks_ != nullptr) c_blocks_->add();
-    const std::uint64_t t_emitted = steady_now_ns();
-    const std::uint64_t wait_ns = t_pickup - item.submit_ns;
-    const std::uint64_t process_ns = t_decoded - t_pickup;
-    const std::uint64_t emit_ns = t_emitted - t_decoded;
-    s->stage_wait_ns.fetch_add(wait_ns, std::memory_order_relaxed);
-    s->stage_process_ns.fetch_add(process_ns, std::memory_order_relaxed);
-    s->stage_emit_ns.fetch_add(emit_ns, std::memory_order_relaxed);
-    if (h_block_ms_ != nullptr) {
-      h_block_ms_->record(static_cast<double>(t_emitted - item.submit_ns) *
-                          1e-6);
-    }
-    if (h_stage_wait_ms_ != nullptr) {
-      h_stage_wait_ms_->record(static_cast<double>(wait_ns) * 1e-6);
-    }
-    if (h_stage_process_ms_ != nullptr) {
-      h_stage_process_ms_->record(static_cast<double>(process_ns) * 1e-6);
-    }
-    if (h_stage_emit_ms_ != nullptr) {
-      h_stage_emit_ms_->record(static_cast<double>(emit_ns) * 1e-6);
-    }
-    s->recycle_block(std::move(item.block));
-    finish_block(s);
+  }
+  s->frames_total.fetch_add(pkts.size(), std::memory_order_relaxed);
+  s->chain->clear_packets();
+  s->crc_failures.store(s->chain->crc_failures(),
+                        std::memory_order_relaxed);
+  if (emitted != 0) {
+    s->packets_emitted.fetch_add(emitted, std::memory_order_relaxed);
+    packets_emitted_.fetch_add(emitted, std::memory_order_relaxed);
+    if (c_packets_emitted_ != nullptr) c_packets_emitted_->add(emitted);
+  }
+  if (dropped != 0) {
+    s->packets_dropped.fetch_add(dropped, std::memory_order_relaxed);
+    packets_dropped_.fetch_add(dropped, std::memory_order_relaxed);
+    if (c_packets_dropped_ != nullptr) c_packets_dropped_->add(dropped);
+  }
+  s->blocks_processed.fetch_add(1, std::memory_order_relaxed);
+  blocks_processed_.fetch_add(1, std::memory_order_relaxed);
+  if (c_blocks_ != nullptr) c_blocks_->add();
+  const std::uint64_t t_emitted = steady_now_ns();
+  const std::uint64_t wait_ns = t_pickup - item.submit_ns;
+  const std::uint64_t process_ns = t_decoded - t_pickup;
+  const std::uint64_t emit_ns = t_emitted - t_decoded;
+  s->stage_wait_ns.fetch_add(wait_ns, std::memory_order_relaxed);
+  s->stage_process_ns.fetch_add(process_ns, std::memory_order_relaxed);
+  s->stage_emit_ns.fetch_add(emit_ns, std::memory_order_relaxed);
+  if (h_block_ms_ != nullptr) {
+    h_block_ms_->record(static_cast<double>(t_emitted - item.submit_ns) *
+                        1e-6);
+  }
+  if (h_stage_wait_ms_ != nullptr) {
+    h_stage_wait_ms_->record(static_cast<double>(wait_ns) * 1e-6);
+  }
+  if (h_stage_process_ms_ != nullptr) {
+    h_stage_process_ms_->record(static_cast<double>(process_ns) * 1e-6);
+  }
+  if (h_stage_emit_ms_ != nullptr) {
+    h_stage_emit_ms_->record(static_cast<double>(emit_ns) * 1e-6);
   }
 }
 
@@ -386,7 +380,7 @@ void ReaderService::count_drop(Session* s, bool expired) {
 void ReaderService::drop_item(WorkItem& item, bool expired) {
   Session* s = item.session;
   count_drop(s, expired);
-  s->recycle_block(std::move(item.block));
+  recycle_block(std::move(item.block));
   finish_block(s);
 }
 

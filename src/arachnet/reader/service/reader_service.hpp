@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "arachnet/dsp/pipeline.hpp"
 #include "arachnet/reader/service/dispatch_queue.hpp"
 #include "arachnet/reader/service/session.hpp"
 #include "arachnet/telemetry/metrics.hpp"
@@ -18,29 +17,30 @@
 namespace arachnet::reader::service {
 
 /// Multi-tenant reader ingest front-end: N concurrent capture sessions
-/// (one 500 kS/s DAQ stream each) multiplexed over one shared
-/// dsp::WorkerPool.
+/// (one 500 kS/s DAQ stream each) multiplexed over one set of decode
+/// workers.
 ///
 /// Where RealtimeReader owns one stream and one DSP thread, ReaderService
 /// owns a *fleet*: each session gets its own RxChain, bounded output
 /// queue, and QoS (priority, TTL, in-flight cap), while the heavy DSP
-/// shares a single pool sized to the machine. Queue topology:
+/// shares worker threads sized to the machine. Queue topology:
 ///
 ///   producers 1..N --submit()--> [per-session in-flight caps]
 ///                                           |
 ///                            DispatchQueue (priority + TTL, bounded)
 ///                                           |
-///                        dispatcher thread: pop_batch, group by session
-///                                           |
-///                     WorkerPool fan-out (one worker per session group)
+///        workers 1..W: pop one block (claiming its session), decode, release
 ///                                           |
 ///                         per-session bounded output rings (consumers)
+///
+/// A session's blocks decode in arrival order on one worker at a time, so
+/// its RxChain needs no lock; no block waits for another session's decode.
 ///
 /// Overload policy is displacement, not back-pressure: submit() never
 /// blocks. A full dispatch queue drops the lowest-priority newest block
 /// (or the newcomer, if nothing outranks it); stale blocks past their TTL
-/// are dropped at dispatch; a stalled consumer costs its own session
-/// dropped packets, never pool time.
+/// are dropped at pop; a stalled consumer costs its own session dropped
+/// packets, never worker time.
 ///
 /// Admission control bounds the fleet at `sessions_per_core × workers`
 /// active sessions. A session opened beyond the budget either sheds the
@@ -49,36 +49,33 @@ namespace arachnet::reader::service {
 /// Session::reset).
 ///
 /// Zero-copy hand-off: sample blocks move (never copy) from submit()
-/// through the dispatch queue to the pool worker, which feeds the chain
-/// via the raw-pointer process(const double*, size_t) overload; spent
-/// buffers recycle into the owning session's block pool.
+/// through the dispatch queue to a worker, which feeds the chain via the
+/// raw-pointer process(const double*, size_t) overload; spent buffers
+/// recycle into the service-wide block pool behind acquire_block().
 ///
 /// Threading: submit()/poll from any threads; open/close/start/stop from
 /// one control thread. Internally all session-map and submit-side state
-/// is serialized by one mutex; decode runs outside it on pool workers.
+/// is serialized by one mutex; decode runs outside it on the workers.
 class ReaderService {
  public:
   using Block = std::vector<double>;
 
   struct Params {
-    /// Total DSP parallelism (pool threads + the dispatcher itself, which
-    /// participates in every fan-out). 0 = hardware concurrency.
+    /// Decode threads start() spawns. 0 = hardware concurrency.
     std::size_t workers = 0;
     /// Admission budget: active sessions allowed per worker. The cap is
     /// max(1, round(sessions_per_core × workers)).
     double sessions_per_core = 4.0;
-    /// Bounded dispatch-queue capacity (blocks queued for the pool across
-    /// all sessions). 0 = 4 × workers.
+    /// Bounded dispatch-queue capacity (blocks queued for the workers
+    /// across all sessions). 0 = 4 × workers.
     std::size_t dispatch_capacity = 0;
-    /// Max blocks one dispatcher iteration hands to the pool.
-    std::size_t max_batch = 16;
     /// Optional registry (must outlive the service): `session.*` fleet
     /// counters, `service.*` latency/depth instruments.
     telemetry::MetricsRegistry* metrics = nullptr;
     /// Per-instance metric-name prefix (e.g. "svc1.") so several services
     /// can share one registry without their instruments silently summing.
     /// Empty (the default) keeps the historical unscoped names.
-    std::string metrics_scope;
+    std::string metrics_scope{};
   };
 
   /// Service-wide counters.
@@ -107,13 +104,14 @@ class ReaderService {
   ReaderService(const ReaderService&) = delete;
   ReaderService& operator=(const ReaderService&) = delete;
 
-  /// Spawns the dispatcher. No-op while running or after stop().
+  /// Spawns the decode workers. Blocks submitted before start() wait in
+  /// the dispatch queue. No-op while running or after stop().
   void start();
 
-  /// Closes the dispatch queue, drains every queued block through the
-  /// pool, joins the dispatcher, then closes every session output so
-  /// consumers drain-then-stop. Terminal: the service cannot be
-  /// restarted (open a new ReaderService instead).
+  /// Closes the dispatch queue, lets the workers drain every queued
+  /// block, joins them, then closes every session output so consumers
+  /// drain-then-stop. Terminal: the service cannot be restarted (open a
+  /// new ReaderService instead).
   void stop();
 
   /// Admits a new session. Returns its id, or nullopt when the fleet is
@@ -141,9 +139,9 @@ class ReaderService {
   /// the id is unknown).
   std::optional<RxPacket> wait_packet(SessionId id);
 
-  /// A recycled (empty, warm-capacity) sample buffer from the session's
-  /// pool, or a fresh one. Pair with submit() for allocation-free
-  /// steady-state streaming.
+  /// A recycled (empty, warm-capacity) sample buffer from the service's
+  /// block pool, or a fresh one (always fresh for an unknown id). Pair
+  /// with submit() for allocation-free steady-state streaming.
   Block acquire_block(SessionId id);
 
   /// Per-session counter snapshot; nullopt for an unknown (or already
@@ -161,15 +159,11 @@ class ReaderService {
     Block block;
     std::uint64_t submit_ns = 0;
   };
-  /// One pool task: a session's FIFO run of blocks from the batch (a
-  /// session is never decoded by two workers at once).
-  struct Group {
-    Session* session = nullptr;
-    std::vector<WorkItem> items;
-  };
-
-  void dispatch_loop();
-  void process_group(Group& group);
+  void work_loop();
+  /// Decodes one claimed block and emits its packets.
+  void process(WorkItem& item);
+  /// Returns a spent buffer to the block pool (cleared; freed when full).
+  void recycle_block(Block block);
   /// Bumps per-session + service drop counters (expired implies dropped).
   void count_drop(Session* s, bool expired);
   /// Charges `item`'s session one pre-decode drop and resolves the block
@@ -189,10 +183,15 @@ class ReaderService {
   Params params_;
   std::size_t workers_ = 0;
   std::size_t max_sessions_ = 0;
-  std::unique_ptr<dsp::WorkerPool> pool_;
-  DispatchQueue<WorkItem> queue_;
-  std::thread dispatcher_;
+  /// Keyed by session, so each session decodes on one worker at a time.
+  DispatchQueue<SessionId, WorkItem> queue_;
   bool stopped_ = false;  ///< stop() is terminal; control thread only
+
+  /// Spare sample buffers, bounded by dispatch capacity + workers +
+  /// max sessions: every live block is queued, being decoded, or in a
+  /// producer's hand.
+  std::mutex pool_mutex_;
+  std::vector<Block> block_pool_;
 
   mutable std::mutex sessions_mutex_;
   std::unordered_map<SessionId, std::unique_ptr<Session>> sessions_;
@@ -209,13 +208,6 @@ class ReaderService {
   std::atomic<std::uint64_t> blocks_expired_{0};
   std::atomic<std::uint64_t> packets_emitted_{0};
   std::atomic<std::uint64_t> packets_dropped_{0};
-
-  // Dispatcher-only batch scratch (capacity reused across iterations).
-  std::vector<WorkItem> batch_;
-  std::vector<WorkItem> expired_;
-  /// Grouping scratch: only the first `n` entries of an iteration are
-  /// live; the rest keep their capacity warm.
-  std::vector<Group> groups_;
 
   // Registry instruments (nullable; bound once in the constructor).
   telemetry::Gauge* g_active_ = nullptr;
@@ -236,6 +228,8 @@ class ReaderService {
   telemetry::LatencyHistogram* h_stage_wait_ms_ = nullptr;
   telemetry::LatencyHistogram* h_stage_process_ms_ = nullptr;
   telemetry::LatencyHistogram* h_stage_emit_ms_ = nullptr;
+
+  std::vector<std::thread> threads_;  ///< the decode workers
 };
 
 }  // namespace arachnet::reader::service

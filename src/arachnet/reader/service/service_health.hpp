@@ -49,7 +49,7 @@ inline void unwatch_session(telemetry::HealthMonitor& monitor, SessionId id) {
 ///    pressure, not a momentary burst);
 ///  - `health.service.ttl.storm`: TTL expiries exceeded
 ///    `max_expiry_rate_per_s` for 2 consecutive samples (blocks are aging
-///    out faster than the pool drains them).
+///    out faster than the workers drain them).
 inline void watch_service(telemetry::HealthMonitor& monitor,
                           const ReaderService& svc,
                           double max_expiry_rate_per_s = 10.0) {

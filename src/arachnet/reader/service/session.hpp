@@ -3,9 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <vector>
 
 #include "arachnet/dsp/ring_buffer.hpp"
 #include "arachnet/reader/rx_chain.hpp"
@@ -38,7 +36,7 @@ struct SessionConfig {
   /// monopolize the shared dispatch queue.
   std::size_t max_blocks_in_flight = 8;
   /// Decoded packets buffered for this session's consumer; the service
-  /// never blocks the DSP pool on a stalled consumer, so a full output
+  /// never blocks a decode worker on a stalled consumer, so a full output
   /// drops the packet and counts it.
   std::size_t output_capacity = 256;
 };
@@ -77,14 +75,14 @@ struct SessionStats {
 /// next open_session under a fresh id.
 ///
 /// Warm reuse: reset() rebuilds identity, chain and counters but keeps
-/// the slot's recycled sample-block pool and — when the capacity matches
-/// — the output ring. The TrialScratch contract generalized to sessions:
-/// only capacity survives an occupant change, contents never do (blocks
-/// are cleared on recycle, the ring must be drained before reuse).
+/// the output ring when the capacity matches. The TrialScratch contract
+/// generalized to sessions: only capacity survives an occupant change,
+/// contents never do (the ring must be drained before reuse). Sample
+/// buffers live in the service-wide block pool, not in the slot.
 ///
 /// Concurrency: submit-side fields are touched under the service's
-/// session mutex; decode-side fields by the one pool worker processing
-/// this session's batch; counters are relaxed atomics readable anywhere.
+/// session mutex; decode-side fields by the one worker holding the
+/// session's queue claim; counters are relaxed atomics readable anywhere.
 struct Session {
   Session(SessionId id_, SessionConfig cfg_) { reset(id_, cfg_); }
 
@@ -123,29 +121,6 @@ struct Session {
     stage_wait_ns.store(0, std::memory_order_relaxed);
     stage_process_ns.store(0, std::memory_order_relaxed);
     stage_emit_ns.store(0, std::memory_order_relaxed);
-    // block_pool intentionally kept: warm buffers carry to the next
-    // occupant (contents are cleared on recycle).
-  }
-
-  /// Hands out a recycled sample buffer (empty, capacity warm) or a
-  /// fresh one. Producers that round-trip buffers through here submit
-  /// with zero steady-state allocation.
-  std::vector<double> acquire_block() {
-    std::lock_guard lock{pool_mutex};
-    if (block_pool.empty()) return {};
-    std::vector<double> b = std::move(block_pool.back());
-    block_pool.pop_back();
-    return b;
-  }
-
-  /// Returns a processed/dropped block's buffer to the pool (bounded by
-  /// the in-flight cap; excess buffers are simply freed).
-  void recycle_block(std::vector<double> block) {
-    block.clear();
-    std::lock_guard lock{pool_mutex};
-    if (block_pool.size() < cfg.max_blocks_in_flight + 2) {
-      block_pool.push_back(std::move(block));
-    }
   }
 
   SessionStats snapshot() const {
@@ -179,8 +154,8 @@ struct Session {
   std::atomic<bool> closed{false};
   std::atomic<bool> shed{false};
   /// Blocks accepted but not yet resolved (queued or being processed).
-  /// Nonzero implies the dispatch queue or a pool worker may still hold
-  /// a pointer to this slot — the reap barrier.
+  /// Nonzero implies the dispatch queue or a worker may still hold a
+  /// pointer to this slot — the reap barrier.
   std::atomic<std::uint32_t> in_flight{0};
   /// Consumers blocked in (or about to enter) a blocking output pop
   /// outside the service's session mutex. A second reap barrier: a
@@ -200,14 +175,10 @@ struct Session {
   std::atomic<std::uint64_t> frames_total{0};
   std::atomic<std::uint64_t> crc_failures{0};
   /// Cumulative stage-latency attribution (see SessionStats); written by
-  /// the one pool worker holding this session's batch, read anywhere.
+  /// the worker holding this session's claim, read anywhere.
   std::atomic<std::uint64_t> stage_wait_ns{0};
   std::atomic<std::uint64_t> stage_process_ns{0};
   std::atomic<std::uint64_t> stage_emit_ns{0};
-
-  /// Warm sample-buffer pool (acquire_block/recycle_block).
-  std::mutex pool_mutex;
-  std::vector<std::vector<double>> block_pool;
 };
 
 }  // namespace arachnet::reader::service

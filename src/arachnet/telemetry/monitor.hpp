@@ -116,10 +116,10 @@ class HealthMonitor {
     /// Optional monotonic requested-work counter. When set, a sample only
     /// counts toward the stall window if demand advanced while progress
     /// did not — work is arriving and nothing comes out.
-    std::function<std::uint64_t()> demand;
+    std::function<std::uint64_t()> demand{};
     /// Optional liveness gate; a probe that reports inactive is skipped
     /// (and its raised flag cleared). Default: always active.
-    std::function<bool()> active;
+    std::function<bool()> active{};
   };
 
   /// Watches a queue-depth gauge against its capacity.
@@ -171,12 +171,12 @@ class HealthMonitor {
     /// When non-empty, every sample appends one JSONL line here (the file
     /// is opened on the first sample; open/write failures are logged once
     /// and the stream is disabled).
-    std::string jsonl_path;
+    std::string jsonl_path{};
     /// Alternative sink for tests/embedders; used in addition to
     /// jsonl_path when both are set. Not owned; must outlive the monitor.
     std::ostream* jsonl_out = nullptr;
     int stall_periods = 2;  ///< K consecutive no-progress samples to raise
-    HealthCallback on_event;
+    HealthCallback on_event{};
   };
 
   explicit HealthMonitor(Params params);

@@ -2,7 +2,7 @@
 // are built from, the watchdog semantics (stall / saturation / storm),
 // the JSONL time-series stream, Prometheus exposition, and the sampling
 // thread lifecycle. The stalled-session case drives a real ReaderService
-// whose dispatcher never started — the acceptance scenario: the flag must
+// whose workers never started — the acceptance scenario: the flag must
 // be up within two sampling periods.
 #include <gtest/gtest.h>
 
@@ -382,7 +382,7 @@ TEST(HealthMonitor, RemoveProbeClearsItsFlag) {
 }
 
 // The acceptance scenario: a deliberately stalled ReaderService session
-// (its dispatcher never started, so accepted blocks sit in the queue
+// (its workers never started, so accepted blocks sit in the queue
 // forever) must raise health.session.<id>.stalled within 2 periods.
 TEST(HealthMonitor, StalledReaderServiceSessionFlagsWithinTwoPeriods) {
   MetricsRegistry reg;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -23,6 +24,8 @@
 namespace {
 
 using namespace arachnet;
+using reader::RxChain;
+using reader::RxPacket;
 using reader::service::DispatchQueue;
 using reader::service::ReaderService;
 using reader::service::SessionConfig;
@@ -53,72 +56,185 @@ void submit_blocks(const std::vector<double>& wave, Submit&& submit) {
 
 // ---------------------------------------------------------- DispatchQueue
 
-TEST(DispatchQueue, PopsByPriorityThenFifo) {
-  DispatchQueue<int> q{8};
-  // Interleave two priorities; within one priority arrival order must hold.
-  ASSERT_EQ(q.push(1, /*priority=*/1, 0, 0, nullptr),
-            DispatchQueue<int>::Push::kAccepted);
-  ASSERT_EQ(q.push(10, 5, 0, 0, nullptr), DispatchQueue<int>::Push::kAccepted);
-  ASSERT_EQ(q.push(2, 1, 0, 0, nullptr), DispatchQueue<int>::Push::kAccepted);
-  ASSERT_EQ(q.push(11, 5, 0, 0, nullptr), DispatchQueue<int>::Push::kAccepted);
+// Keyed by session id; the tests' values are plain ints.
+using Queue = DispatchQueue<int, int>;
 
+// A fixed clock for pop().
+auto at(std::uint64_t now_ns) {
+  return [now_ns] { return now_ns; };
+}
+
+struct Drained {
   std::vector<int> out;
   std::vector<int> expired;
-  ASSERT_TRUE(q.pop_batch(10, 0, &out, &expired));
-  EXPECT_TRUE(expired.empty());
-  EXPECT_EQ(out, (std::vector<int>{10, 11, 1, 2}));
+};
+
+// One consumer popping until the queue is empty, releasing each claim at
+// once. Every item here is pushed under a key equal to its value.
+Drained drain(Queue& q, std::uint64_t now_ns) {
+  Drained d;
+  int v = 0;
+  while (q.size() != 0) {
+    if (q.pop(at(now_ns), &v) == Queue::Pop::kExpired) {
+      d.expired.push_back(v);
+    } else {
+      d.out.push_back(v);
+      q.release(v);
+    }
+  }
+  return d;
+}
+
+TEST(DispatchQueue, PopsByPriorityThenFifo) {
+  Queue q{8};
+  // Interleave two priorities; within one priority arrival order must hold.
+  ASSERT_EQ(q.push(1, 1, /*priority=*/1, 0, 0, nullptr),
+            Queue::Push::kAccepted);
+  ASSERT_EQ(q.push(10, 10, 5, 0, 0, nullptr), Queue::Push::kAccepted);
+  ASSERT_EQ(q.push(2, 2, 1, 0, 0, nullptr), Queue::Push::kAccepted);
+  ASSERT_EQ(q.push(11, 11, 5, 0, 0, nullptr), Queue::Push::kAccepted);
+
+  const Drained d = drain(q, 0);
+  EXPECT_TRUE(d.expired.empty());
+  EXPECT_EQ(d.out, (std::vector<int>{10, 11, 1, 2}));
 }
 
 TEST(DispatchQueue, FullQueueDisplacesLowestPriorityNewestOnly) {
-  DispatchQueue<int> q{2};
-  ASSERT_EQ(q.push(1, 1, 0, 0, nullptr), DispatchQueue<int>::Push::kAccepted);
-  ASSERT_EQ(q.push(2, 1, 0, 0, nullptr), DispatchQueue<int>::Push::kAccepted);
+  Queue q{2};
+  ASSERT_EQ(q.push(1, 1, 1, 0, 0, nullptr), Queue::Push::kAccepted);
+  ASSERT_EQ(q.push(2, 2, 1, 0, 0, nullptr), Queue::Push::kAccepted);
 
   // Equal priority never displaces: the newcomer is rejected.
   std::optional<int> displaced;
-  EXPECT_EQ(q.push(3, 1, 0, 0, &displaced),
-            DispatchQueue<int>::Push::kRejected);
+  EXPECT_EQ(q.push(3, 3, 1, 0, 0, &displaced), Queue::Push::kRejected);
   EXPECT_FALSE(displaced.has_value());
 
   // A strictly higher priority evicts the lowest-priority *newest* item
   // (2, not 1 — the victim session keeps its FIFO prefix).
-  EXPECT_EQ(q.push(4, 9, 0, 0, &displaced),
-            DispatchQueue<int>::Push::kDisplaced);
+  EXPECT_EQ(q.push(4, 4, 9, 0, 0, &displaced), Queue::Push::kDisplaced);
   ASSERT_TRUE(displaced.has_value());
   EXPECT_EQ(*displaced, 2);
 
-  std::vector<int> out;
-  std::vector<int> expired;
-  ASSERT_TRUE(q.pop_batch(10, 0, &out, &expired));
-  EXPECT_EQ(out, (std::vector<int>{4, 1}));
+  EXPECT_EQ(drain(q, 0).out, (std::vector<int>{4, 1}));
 }
 
 TEST(DispatchQueue, ExpiredItemsAreHandedBackSeparately) {
-  DispatchQueue<int> q{8};
-  ASSERT_EQ(q.push(1, 1, /*now_ns=*/100, /*ttl_ns=*/50, nullptr),
-            DispatchQueue<int>::Push::kAccepted);  // deadline 150
-  ASSERT_EQ(q.push(2, 1, 100, 0, nullptr),
-            DispatchQueue<int>::Push::kAccepted);  // never expires
+  Queue q{8};
+  ASSERT_EQ(q.push(1, 1, 1, /*now_ns=*/100, /*ttl_ns=*/50, nullptr),
+            Queue::Push::kAccepted);  // deadline 150
+  ASSERT_EQ(q.push(2, 2, 1, 100, 0, nullptr),
+            Queue::Push::kAccepted);  // never expires
 
-  std::vector<int> out;
-  std::vector<int> expired;
-  ASSERT_TRUE(q.pop_batch(10, /*now_ns=*/200, &out, &expired));
-  EXPECT_EQ(expired, (std::vector<int>{1}));
-  EXPECT_EQ(out, (std::vector<int>{2}));
+  const Drained d = drain(q, /*now_ns=*/200);
+  EXPECT_EQ(d.expired, (std::vector<int>{1}));
+  EXPECT_EQ(d.out, (std::vector<int>{2}));
 }
 
 TEST(DispatchQueue, CloseDrainsThenStops) {
-  DispatchQueue<int> q{4};
-  ASSERT_EQ(q.push(7, 1, 0, 0, nullptr), DispatchQueue<int>::Push::kAccepted);
+  Queue q{4};
+  ASSERT_EQ(q.push(7, 7, 1, 0, 0, nullptr), Queue::Push::kAccepted);
   q.close();
-  EXPECT_EQ(q.push(8, 1, 0, 0, nullptr), DispatchQueue<int>::Push::kClosed);
+  EXPECT_EQ(q.push(8, 8, 1, 0, 0, nullptr), Queue::Push::kClosed);
 
-  std::vector<int> out;
-  std::vector<int> expired;
-  ASSERT_TRUE(q.pop_batch(10, 0, &out, &expired));
-  EXPECT_EQ(out, (std::vector<int>{7}));
-  out.clear();
-  EXPECT_FALSE(q.pop_batch(10, 0, &out, &expired));  // closed and drained
+  int v = 0;
+  ASSERT_EQ(q.pop(at(0), &v), Queue::Pop::kClaimed);
+  EXPECT_EQ(v, 7);
+  q.release(7);
+  EXPECT_EQ(q.pop(at(0), &v), Queue::Pop::kClosed);  // closed and drained
+}
+
+TEST(DispatchQueue, ClaimedSessionIsSkippedWhileOtherSessionsPop) {
+  // Session 1's blocks are the most urgent, but while a consumer holds
+  // session 1 the next consumer gets session 2's block instead.
+  Queue q{8};
+  ASSERT_EQ(q.push(1, 101, 1, 0, 0, nullptr), Queue::Push::kAccepted);
+  ASSERT_EQ(q.push(1, 102, 1, 0, 0, nullptr), Queue::Push::kAccepted);
+  ASSERT_EQ(q.push(2, 201, 1, 0, 0, nullptr), Queue::Push::kAccepted);
+
+  int v = 0;
+  ASSERT_EQ(q.pop(at(0), &v), Queue::Pop::kClaimed);
+  EXPECT_EQ(v, 101);
+  ASSERT_EQ(q.pop(at(0), &v), Queue::Pop::kClaimed);
+  EXPECT_EQ(v, 201);
+  EXPECT_EQ(q.size(), 1u) << "102 stays queued behind its session's claim";
+}
+
+TEST(DispatchQueue, ReleasedSessionPopsItsNextBlockInArrivalOrder) {
+  Queue q{8};
+  for (int v : {101, 102, 103}) {
+    ASSERT_EQ(q.push(1, v, 1, 0, 0, nullptr), Queue::Push::kAccepted);
+  }
+  int v = 0;
+  ASSERT_EQ(q.pop(at(0), &v), Queue::Pop::kClaimed);
+  EXPECT_EQ(v, 101);
+
+  // A second consumer blocks: the only queued blocks belong to the
+  // claimed session. release() hands it the session's next block.
+  std::atomic<bool> popped{false};
+  int got = 0;
+  std::thread consumer{[&] {
+    EXPECT_EQ(q.pop(at(0), &got), Queue::Pop::kClaimed);
+    popped.store(true);
+  }};
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(popped.load()) << "pop must wait while the session is held";
+  q.release(1);
+  consumer.join();
+  EXPECT_EQ(got, 102);
+  q.release(1);
+  ASSERT_EQ(q.pop(at(0), &v), Queue::Pop::kClaimed);
+  EXPECT_EQ(v, 103);
+}
+
+TEST(DispatchQueue, ExpiredBlockOfClaimedSessionIsStillHandedBack) {
+  Queue q{8};
+  ASSERT_EQ(q.push(1, 101, 1, 100, 0, nullptr), Queue::Push::kAccepted);
+  ASSERT_EQ(q.push(1, 102, 1, 100, /*ttl_ns=*/50, nullptr),
+            Queue::Push::kAccepted);  // deadline 150
+
+  int v = 0;
+  ASSERT_EQ(q.pop(at(200), &v), Queue::Pop::kClaimed);
+  EXPECT_EQ(v, 101);
+  // Session 1 is held, yet its expired block comes back at once so it
+  // can be counted as dropped; an expiry takes no claim.
+  ASSERT_EQ(q.pop(at(200), &v), Queue::Pop::kExpired);
+  EXPECT_EQ(v, 102);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(DispatchQueue, CloseWhileClaimedReturnsEveryBlockedConsumer) {
+  // Regression for a lost wake-up: two consumers wait behind a claimed
+  // session when the queue closes. Whichever takes the session's last
+  // block empties the queue; its release() must still wake the other,
+  // which would otherwise sleep through the drain forever.
+  Queue q{8};
+  ASSERT_EQ(q.push(1, 101, 1, 0, 0, nullptr), Queue::Push::kAccepted);
+  ASSERT_EQ(q.push(1, 102, 1, 0, 0, nullptr), Queue::Push::kAccepted);
+  int v = 0;
+  ASSERT_EQ(q.pop(at(0), &v), Queue::Pop::kClaimed);
+
+  std::atomic<int> consumed{0};
+  std::atomic<int> finished{0};
+  const auto consume = [&] {
+    int item = 0;
+    while (q.pop(at(0), &item) == Queue::Pop::kClaimed) {
+      consumed.fetch_add(1);
+      q.release(1);
+    }
+    finished.fetch_add(1);
+  };
+  std::thread c1{consume};
+  std::thread c2{consume};
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  q.close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(finished.load(), 0) << "102 is still queued behind the claim";
+  q.release(1);
+  c1.join();
+  c2.join();
+  EXPECT_EQ(consumed.load(), 1);
+  EXPECT_EQ(finished.load(), 2);
+  EXPECT_EQ(q.pop(at(0), &v), Queue::Pop::kClosed);
 }
 
 // ----------------------------------------------- RealtimeReader lifecycle
@@ -279,7 +395,7 @@ TEST(ReaderService, AdmissionRejectsBeyondBudgetAndShedsForPriority) {
 
 TEST(ReaderService, PriorityDisplacementUnderFullDispatchQueue) {
   // Fill the dispatch queue from a low-priority session *before* starting
-  // the dispatcher, then push a high-priority session's blocks: each one
+  // the workers, then push a high-priority session's blocks: each one
   // must displace a queued low-priority block, charged to its owner.
   ReaderService::Params params;
   params.workers = 1;
@@ -314,7 +430,7 @@ TEST(ReaderService, PriorityDisplacementUnderFullDispatchQueue) {
   EXPECT_EQ(svc.session_stats(*a)->blocks_dropped, 5u);
 
   svc.start();
-  svc.stop();  // drains the queue through the pool
+  svc.stop();  // the workers drain the queue
 
   const auto a_stats = svc.session_stats(*a);
   const auto b_stats = svc.session_stats(*b);
@@ -327,7 +443,7 @@ TEST(ReaderService, PriorityDisplacementUnderFullDispatchQueue) {
 }
 
 TEST(ReaderService, TtlExpiryIsCountedAsDropped) {
-  // Queue blocks with a 1 ms TTL while the dispatcher is not yet running,
+  // Queue blocks with a 1 ms TTL while the workers are not yet running,
   // let them age past the deadline, then start: they must be dropped as
   // expired, never decoded.
   ReaderService::Params params;
@@ -456,8 +572,8 @@ TEST(ReaderService, ClosedSessionSlotsAreReusedWarm) {
 }
 
 TEST(ReaderService, PerSessionInFlightCapDropsExcess) {
-  // Without a running dispatcher nothing leaves the queue, so the
-  // per-session cap is what bounds submissions.
+  // Before start() no worker pops the queue, so the per-session cap is
+  // what bounds submissions.
   ReaderService::Params params;
   params.workers = 1;
   params.dispatch_capacity = 64;
@@ -477,6 +593,76 @@ TEST(ReaderService, PerSessionInFlightCapDropsExcess) {
   svc.start();
   svc.stop();
   EXPECT_EQ(svc.session_stats(*id)->blocks_processed, 2u);
+}
+
+TEST(ReaderService, PullingWorkersKeepEverySessionsPacketsInOrder) {
+  // Eight sessions on four workers, every session's whole capture
+  // submitted without waiting between blocks: each session must decode
+  // exactly what a standalone RxChain decodes from the same blocks. Any
+  // two workers touching one session at once, or a session's blocks
+  // decoding out of order, breaks a packet or shifts its timestamp.
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kBlocksPerSession = 56;
+  sim::Rng rng{11};
+  acoustic::UplinkWaveformSynth synth{acoustic::UplinkWaveformSynth::Params{}};
+
+  // Two packets per session; block sizes differ across sessions so
+  // decodes of different sessions overlap unevenly.
+  std::vector<std::vector<std::vector<double>>> blocks(kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    auto wave = packet_wave(static_cast<std::uint16_t>(0x100 + i), rng, synth);
+    const auto second =
+        packet_wave(static_cast<std::uint16_t>(0x200 + i), rng, synth);
+    wave.insert(wave.end(), second.begin(), second.end());
+    const std::size_t nblocks = kBlocksPerSession - i;
+    const std::size_t len = (wave.size() + nblocks - 1) / nblocks;
+    for (std::size_t off = 0; off < wave.size(); off += len) {
+      const std::size_t n = std::min(len, wave.size() - off);
+      blocks[i].emplace_back(wave.begin() + off, wave.begin() + off + n);
+    }
+  }
+
+  ReaderService::Params params;
+  params.workers = 4;
+  params.dispatch_capacity = kSessions * kBlocksPerSession;
+  ReaderService svc{params};
+  svc.start();
+  SessionConfig cfg;
+  cfg.max_blocks_in_flight = kBlocksPerSession;
+  std::vector<reader::service::SessionId> ids;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    const auto id = svc.open_session(cfg);
+    ASSERT_TRUE(id.has_value());
+    ids.push_back(*id);
+  }
+  for (std::size_t b = 0; b < kBlocksPerSession; ++b) {
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      if (b < blocks[i].size()) {
+        ASSERT_TRUE(svc.submit(ids[i], blocks[i][b]));
+      }
+    }
+  }
+  svc.stop();
+
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    RxChain::Params cp = cfg.chain;
+    cp.retain_iq_points = false;
+    RxChain ref{cp};
+    for (const auto& blk : blocks[i]) ref.process(blk.data(), blk.size());
+    ASSERT_EQ(ref.packets().size(), 2u) << "session " << i;
+
+    std::vector<RxPacket> got;
+    while (auto pkt = svc.wait_packet(ids[i])) got.push_back(*pkt);
+    ASSERT_EQ(got.size(), ref.packets().size()) << "session " << i;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].packet, ref.packets()[k].packet) << "session " << i;
+      EXPECT_EQ(got[k].time_s, ref.packets()[k].time_s) << "session " << i;
+    }
+    const auto st = svc.session_stats(ids[i]);
+    ASSERT_TRUE(st.has_value());
+    EXPECT_EQ(st->blocks_dropped, 0u);
+    EXPECT_EQ(st->crc_failures, ref.crc_failures()) << "session " << i;
+  }
 }
 
 TEST(ReaderService, ScopedServicesShareOneRegistryWithoutColliding) {
