@@ -121,7 +121,8 @@ int main(int argc, char** argv) {
   std::printf("=== Extension 1b: FDMA Bank Parallel Scaling ===\n\n");
   {
     // 8 tags on 8 subcarriers, decoded by the sequential bank (workers=1)
-    // and the worker-pool bank (one task per channel per block).
+    // and the worker-pool bank (one thread per core, one task per channel
+    // per block).
     constexpr int kChannels = 8;
     const auto make_params = [&](std::size_t workers) {
       reader::FdmaRxChain::Params fp;
@@ -168,7 +169,8 @@ int main(int argc, char** argv) {
     reader::FdmaRxChain seq_bank{make_params(1)};
     const std::size_t hw =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    reader::FdmaRxChain par_bank{make_params(0)};  // auto: one per core
+    // One worker per core, set explicitly: workers = 0 is sequential.
+    reader::FdmaRxChain par_bank{make_params(hw)};
 
     const double seq_s = run_bank(seq_bank, blocks, nullptr);
     sim::Histogram latency{0.0, 50.0, 10};

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "arachnet/dsp/kernels/cpu_dispatch.hpp"
 #include "arachnet/telemetry/log.hpp"
 
 namespace arachnet::dsp {
@@ -14,14 +15,28 @@ std::optional<KernelPolicy> parse_kernel_policy(
   return std::nullopt;
 }
 
+namespace {
+
+/// kSimd only where it measured a win over kBlock: the AVX2 and AVX-512
+/// tiers. The portable tier loses to kBlock and NEON is unmeasured.
+KernelPolicy cpu_default_kernel_policy() noexcept {
+  const SimdIsa isa = active_simd_isa();
+  return isa == SimdIsa::kAvx2 || isa == SimdIsa::kAvx512
+             ? KernelPolicy::kSimd
+             : KernelPolicy::kBlock;
+}
+
+}  // namespace
+
 KernelPolicy kernel_policy_from_env_value(const char* value) noexcept {
-  if (value == nullptr || *value == '\0') return KernelPolicy::kBlock;
+  const KernelPolicy fallback = cpu_default_kernel_policy();
+  if (value == nullptr || *value == '\0') return fallback;
   if (const auto parsed = parse_kernel_policy(value)) return *parsed;
   ARACHNET_LOG_WARN("kernels",
                     "unrecognized ARACHNET_KERNEL_POLICY value; falling back",
-                    {"value", value}, {"fallback", "block"},
+                    {"value", value}, {"fallback", to_string(fallback)},
                     {"accepted", "scalar|block|simd"});
-  return KernelPolicy::kBlock;
+  return fallback;
 }
 
 KernelPolicy default_kernel_policy() noexcept {

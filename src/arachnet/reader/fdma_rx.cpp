@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <numbers>
 #include <stdexcept>
-#include <thread>
 
 #include "arachnet/dsp/kernels/tile_window.hpp"
 #include "arachnet/telemetry/log.hpp"
@@ -245,12 +244,11 @@ FdmaRxChain::FdmaRxChain(Params params)
   channel_coeffs_ = dsp::design_lowpass(1.4 * params_.chip_rate, iq_rate_,
                                         taps);
 
-  workers_ = params_.workers;
-  if (workers_ == 0) {
-    workers_ = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  // The calling thread participates in run(), so the pool only needs
-  // workers_ - 1 extra threads.
+  // 0 and 1 both decode sequentially on the calling thread: the per-block
+  // fan-out measured slower than sequential, so it is opt-in. The calling
+  // thread participates in run(), so the pool only needs workers_ - 1
+  // extra threads.
+  workers_ = std::max<std::size_t>(1, params_.workers);
   pool_ = std::make_unique<dsp::WorkerPool>(workers_ - 1);
 
   // Validate the whole initial spec list before building anything (each

@@ -46,12 +46,13 @@ namespace arachnet::reader {
 ///    verdicts exactly; timestamps within one lane sample).
 ///
 /// Threading model: the main DDC (and, in channelizer mode, the shared
-/// filterbank) runs on the calling thread, then each sample block fans out
-/// across a persistent dsp::WorkerPool with one task per channel. Channels
-/// are pinned on the heap and never share mutable state, so the parallel
-/// bank is bit-identical to the sequential one (`Params::workers = 1`);
-/// decoded packets merge deterministically by (completion sample, channel
-/// index) via drain_packets().
+/// filterbank) runs on the calling thread, and by default so does every
+/// channel's decision chain. With `Params::workers >= 2` each sample block
+/// instead fans out across a persistent dsp::WorkerPool with one task per
+/// channel. Channels are pinned on the heap and never share mutable state,
+/// so the parallel bank is bit-identical to the sequential one; decoded
+/// packets merge deterministically by (completion sample, channel index)
+/// via drain_packets().
 class FdmaRxChain {
  public:
   /// Front-end structure for the subcarrier bank.
@@ -86,8 +87,11 @@ class FdmaRxChain {
     dsp::Ddc::Params ddc{};   ///< cutoff must cover the highest subcarrier
     double chip_rate = phy::kDefaultUlRawBitRate;
     std::vector<ChannelSpec> channels;
-    /// Worker threads for the per-block channel fan-out. 0 = auto (one per
-    /// hardware thread); 1 = strictly sequential on the calling thread.
+    /// Worker threads for the per-block channel fan-out. 0 (the default)
+    /// and 1 decode strictly sequentially on the calling thread; N >= 2
+    /// fans each block out over N threads (the calling thread plus a
+    /// pool of N - 1), which measured no faster than sequential on the
+    /// channelizer bank.
     std::size_t workers = 0;
     /// When nonzero, the main down-converter passband is provisioned for
     /// this subcarrier instead of the highest initial channel, leaving
@@ -109,7 +113,8 @@ class FdmaRxChain {
     std::string metrics_scope;
     /// DSP implementation for the main DDC and the per-channel mixer/LPF.
     /// Decoded packets are identical across policies (see KernelPolicy);
-    /// the block path is the production default. The channelizer front-end
+    /// the default is simd on AVX2/AVX-512 CPUs and block elsewhere (see
+    /// default_kernel_policy()). The channelizer front-end
     /// has a single implementation, so under it the two kernel policies
     /// differ only in the main DDC.
     dsp::KernelPolicy kernels = dsp::default_kernel_policy();

@@ -271,6 +271,14 @@ TEST(FdmaParity, ParallelBankMatchesSequentialBitExactly) {
   }
 }
 
+TEST(FdmaParity, DefaultWorkersDecodeSequentially) {
+  // The channel fan-out is opt-in: an unset worker count (0) decodes on
+  // the calling thread, whatever the core count.
+  EXPECT_EQ(reader::FdmaRxChain::Params{}.workers, 0u);
+  reader::FdmaRxChain bank{twelve_channel_params(0)};
+  EXPECT_EQ(bank.worker_count(), 1u);
+}
+
 // --------------------------------------------- RealtimeReader shutdown
 
 TEST(RealtimeReaderShutdown, StopMidStreamLosesNothingBeforeClose) {

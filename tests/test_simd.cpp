@@ -138,29 +138,70 @@ TEST(KernelPolicyEnv, ParseAcceptsAllThreeTiers) {
   EXPECT_FALSE(dsp::parse_kernel_policy("").has_value());
 }
 
+// The default the unset variable resolves to on this process's active
+// ISA tier: kSimd on the AVX2 and AVX-512 tables, kBlock elsewhere.
+dsp::KernelPolicy expected_cpu_default() {
+  const dsp::SimdIsa isa = dsp::active_simd_isa();
+  return isa == dsp::SimdIsa::kAvx2 || isa == dsp::SimdIsa::kAvx512
+             ? dsp::KernelPolicy::kSimd
+             : dsp::KernelPolicy::kBlock;
+}
+
 TEST(KernelPolicyEnv, UnrecognizedValueWarnsNamingValueAndFallback) {
   CapturedLog cap;
   telemetry::set_log_sink(capture_sink, &cap);
+  const dsp::KernelPolicy cpu_default = expected_cpu_default();
 
   // Unset and recognized values resolve silently.
-  EXPECT_EQ(dsp::kernel_policy_from_env_value(nullptr),
-            dsp::KernelPolicy::kBlock);
+  EXPECT_EQ(dsp::kernel_policy_from_env_value(nullptr), cpu_default);
+  EXPECT_EQ(dsp::kernel_policy_from_env_value(""), cpu_default);
   EXPECT_EQ(dsp::kernel_policy_from_env_value("simd"),
             dsp::KernelPolicy::kSimd);
+  EXPECT_EQ(dsp::kernel_policy_from_env_value("block"),
+            dsp::KernelPolicy::kBlock);
   EXPECT_EQ(cap.count, 0);
 
-  // An unrecognized value falls back to kBlock with a WARN that names
-  // what was rejected, what it fell back to, and what is accepted —
-  // instead of the old silent fallback.
-  EXPECT_EQ(dsp::kernel_policy_from_env_value("turbo"),
-            dsp::KernelPolicy::kBlock);
+  // An unrecognized value falls back to the CPU default with a WARN that
+  // names what was rejected, what it fell back to, and what is accepted.
+  EXPECT_EQ(dsp::kernel_policy_from_env_value("turbo"), cpu_default);
   telemetry::set_log_sink(telemetry::stderr_log_sink);
   ASSERT_EQ(cap.count, 1);
   EXPECT_EQ(cap.level, telemetry::LogLevel::kWarn);
   EXPECT_EQ(cap.component, "kernels");
   EXPECT_EQ(cap.string_fields["value"], "turbo");
-  EXPECT_EQ(cap.string_fields["fallback"], "block");
+  EXPECT_EQ(cap.string_fields["fallback"], dsp::to_string(cpu_default));
   EXPECT_NE(cap.string_fields["accepted"].find("simd"), std::string::npos);
+}
+
+/// Restores the process's active ISA tier when a test that forces one
+/// ends, skips or fails.
+struct ActiveIsaGuard {
+  dsp::SimdIsa saved = dsp::active_simd_isa();
+  ~ActiveIsaGuard() { dsp::force_simd_isa(saved); }
+};
+
+TEST(KernelPolicyEnv, UnsetResolvesToBlockOnPortableTier) {
+  ActiveIsaGuard guard;
+  dsp::force_simd_isa(dsp::SimdIsa::kGeneric);
+  EXPECT_EQ(dsp::kernel_policy_from_env_value(nullptr),
+            dsp::KernelPolicy::kBlock);
+  EXPECT_EQ(dsp::kernel_policy_from_env_value(""),
+            dsp::KernelPolicy::kBlock);
+  // An explicit setting is honored whatever the tier.
+  EXPECT_EQ(dsp::kernel_policy_from_env_value("simd"),
+            dsp::KernelPolicy::kSimd);
+}
+
+TEST(KernelPolicyEnv, UnsetResolvesToSimdOnAvx2Tier) {
+  ActiveIsaGuard guard;
+  dsp::force_simd_isa(dsp::SimdIsa::kAvx2);
+  if (dsp::active_simd_isa() != dsp::SimdIsa::kAvx2) {
+    GTEST_SKIP() << "the CPU or the build lacks the AVX2 tier";
+  }
+  EXPECT_EQ(dsp::kernel_policy_from_env_value(nullptr),
+            dsp::KernelPolicy::kSimd);
+  EXPECT_EQ(dsp::kernel_policy_from_env_value("block"),
+            dsp::KernelPolicy::kBlock);
 }
 
 // --------------------------------------------------------------- SimdNco
