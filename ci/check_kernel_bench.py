@@ -4,23 +4,21 @@
 Asserts the kernel-tier invariants the DSP layer promises:
 
   1. parity — BM_PolicyPacketParity.parity == 1 and every
-     BM_TierPacketParity/<n>.parity == 1: the scalar, block and simd
-     policies (and the simd channelizer bank) decoded identical packet
-     sets at 4/8/16/32 channels. A speedup between paths that decode
-     different packets is meaningless, so this is checked first.
-  2. speed — for each BM_<X>Scalar / BM_<X>Block pair, the block path's
-     real_time must not exceed the scalar path's; for each
-     BM_<X>Block / BM_<X>Simd pair, the simd path must not exceed the
-     block path's. The faster tiers exist only to be faster; a
-     regression fails the build. The simd comparison is enforced only
-     when an ISA-specialized tier dispatched (kernel.isa != generic) —
-     the portable fallback promises correctness, not speed.
+     BM_TierPacketParity/<n>.parity == 1: the scalar and simd policies
+     (and the simd channelizer bank) decoded identical packet sets at
+     4/8/16/32 channels. A speedup between paths that decode different
+     packets is meaningless, so this is checked first.
+  2. speed — for each BM_<X>Scalar / BM_<X>Simd pair, the simd path's
+     real_time must not exceed the scalar path's, on every ISA tier
+     (the portable tier included: it is the fast path on CPUs without
+     AVX2). The fast path exists only to be faster; a regression fails
+     the build.
   3. provenance — the sidecar must carry kernel.policy and kernel.isa
      info rows so the numbers are attributable to the configuration
-     that produced them; when kernel.cpu shows avx512f+avx512vl+fma,
-     kernel.isa must actually be avx512 (the top tier dispatched, not
-     silently degraded). On hardware without AVX-512 this check is
-     skipped, not failed.
+     that produced them; when kernel.cpu shows avx2+fma, kernel.isa
+     must actually be avx2 (the top tier dispatched, not silently
+     degraded). On hardware without AVX2 this check is skipped, not
+     failed.
   4. float32 fold — when a BENCH_ext_throughput.json sidecar is also
      supplied, its fdma.bank.<n>.chzr_f32_* rows gate the float32
      channelizer fast path: packet parity against the float64 fold at
@@ -34,14 +32,9 @@ Usage: check_kernel_bench.py BENCH_micro_dsp.json [BENCH_ext_throughput.json ...
 import json
 import sys
 
-SCALAR_BLOCK_PAIRS = [
-    ("BM_DdcScalar.real_time", "BM_DdcBlock.real_time"),
-    ("BM_FdmaBankScalar.real_time", "BM_FdmaBankBlock.real_time"),
-]
-
-BLOCK_SIMD_PAIRS = [
-    ("BM_DdcBlock.real_time", "BM_DdcSimd.real_time"),
-    ("BM_FdmaBankBlock.real_time", "BM_FdmaBankSimd.real_time"),
+SCALAR_SIMD_PAIRS = [
+    ("BM_DdcScalar.real_time", "BM_DdcSimd.real_time"),
+    ("BM_FdmaBankScalar.real_time", "BM_FdmaBankSimd.real_time"),
 ]
 
 PARITY_ROWS = [
@@ -88,19 +81,19 @@ def main() -> int:
         f"kernel.cpu={cpu}"
     )
 
-    # AVX-512 provenance: on hardware that has the full avx512 feature
-    # set the top tier must have dispatched — a silent degrade to avx2
-    # would quietly void every simd speed number below. Skip (not fail)
-    # when the runner simply lacks AVX-512.
-    if {"avx512f", "avx512vl", "fma"} <= set(cpu.split("+")):
-        if isa != "avx512":
+    # AVX2 provenance: on hardware that has avx2+fma the top tier must
+    # have dispatched — a silent degrade to the portable tier would
+    # quietly void every simd speed number below. Skip (not fail) when
+    # the runner simply lacks AVX2.
+    if {"avx2", "fma"} <= set(cpu.split("+")):
+        if isa != "avx2":
             print(
-                f"::error::CPU supports avx512 ({cpu}) but kernel.isa="
-                f"{isa} — the avx512 tier did not dispatch"
+                f"::error::CPU supports avx2 ({cpu}) but kernel.isa="
+                f"{isa} — the avx2 tier did not dispatch"
             )
             failed = True
     else:
-        print(f"notice: CPU lacks AVX-512 ({cpu}) — provenance check skipped")
+        print(f"notice: CPU lacks AVX2 ({cpu}) — provenance check skipped")
 
     for row in PARITY_ROWS:
         parity = metrics.get(row)
@@ -135,11 +128,7 @@ def main() -> int:
                 )
                 failed = True
 
-    check_pairs(SCALAR_BLOCK_PAIRS, "scalar", "block")
-    if isa == "generic":
-        print("notice: kernel.isa=generic — skipping block->simd speed gate")
-    else:
-        check_pairs(BLOCK_SIMD_PAIRS, "block", "simd")
+    check_pairs(SCALAR_SIMD_PAIRS, "scalar", "simd")
 
     # Float32 channelizer fold (rows come from BENCH_ext_throughput.json
     # when supplied): parity always, break-even from 8 channels, and the

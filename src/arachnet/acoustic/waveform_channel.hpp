@@ -51,7 +51,7 @@ class UplinkWaveformSynth {
     /// Vehicle self-vibration (engine/road): frequency and amplitude.
     double ambient_hz = 35.0;
     double ambient_amplitude = 0.0;
-    /// DSP implementation (see dsp::KernelPolicy): the block path renders
+    /// DSP implementation (see dsp::KernelPolicy): the kSimd path renders
     /// carriers with phasor-recurrence NCOs and walks each source's chip
     /// stream in run-length segments; the scalar path is the per-sample
     /// reference. Waveforms agree to rounding tolerance; the RNG draw

@@ -3,20 +3,20 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 
 namespace arachnet::dsp {
 
-Ddc::Ddc(Params params)
-    : Ddc(params, design_lowpass(params.cutoff_hz, params.sample_rate_hz,
-                                 params.taps)) {}
-
-Ddc::Ddc(Params params, const std::vector<double>& coeffs)
-    : params_(params),
-      lpf_(coeffs),
-      decimator_(coeffs, params.decimation == 0 ? 1 : params.decimation),
-      decimator_s_(coeffs, params.decimation == 0 ? 1 : params.decimation) {
+Ddc::Ddc(Params params) : params_(params) {
   if (params_.decimation == 0) {
     throw std::invalid_argument("Ddc: decimation must be >= 1");
+  }
+  auto coeffs = design_lowpass(params_.cutoff_hz, params_.sample_rate_hz,
+                               params_.taps);
+  if (params_.kernels == KernelPolicy::kScalar) {
+    lpf_.emplace(std::move(coeffs));
+  } else {
+    decimator_.emplace(coeffs, params_.decimation);
   }
   set_carrier(params_.carrier_hz);
 }
@@ -25,16 +25,15 @@ void Ddc::set_carrier(double hz) noexcept {
   params_.carrier_hz = hz;
   phase_step_ = 2.0 * std::numbers::pi * hz / params_.sample_rate_hz;
   // The scalar path mixes by conj(e^{j*phase}) with phase advancing
-  // +phase_step_; the block and simd NCOs hold e^{-j*phase} directly, so
-  // their step is the negation. All keep their phase across a retune.
+  // +phase_step_; the simd NCO holds e^{-j*phase} directly, so its step
+  // is the negation. Both keep their phase across a retune.
   nco_.set_step(-phase_step_);
-  nco_s_.set_step(-phase_step_);
 }
 
 std::optional<std::complex<double>> Ddc::push(double sample) {
-  if (params_.kernels != KernelPolicy::kScalar) {
+  if (decimator_) {
     // One-sample block through the kernel machinery, so push() and
-    // process() share decimator/NCO state under either policy.
+    // process() share decimator/NCO state.
     std::complex<double> out;
     if (run_kernels(std::span<const double>{&sample, 1}, &out) != 0) {
       return out;
@@ -53,10 +52,10 @@ std::optional<std::complex<double>> Ddc::push(double sample) {
   // Only the decimation points need the filter's dot product; in between,
   // just advance the delay line (a factor-`decimation` saving on the
   // dominant cost of the front end).
-  lpf_.feed(mixed);
+  lpf_->feed(mixed);
   if (++decim_count_ >= params_.decimation) {
     decim_count_ = 0;
-    return lpf_.value();
+    return lpf_->value();
   }
   return std::nullopt;
 }
@@ -64,25 +63,17 @@ std::optional<std::complex<double>> Ddc::push(double sample) {
 std::size_t Ddc::run_kernels(std::span<const double> in,
                             std::complex<double>* out) {
   const double* x = in.data();
-  if (params_.kernels == KernelPolicy::kBlock) {
-    return decimator_.stream(
-        in.size(),
-        [&](std::complex<double>* dst, std::size_t off, std::size_t len) {
-          nco_.mix_real(x + off, dst, len);
-        },
-        out);
-  }
-  return decimator_s_.stream(
+  return decimator_->stream(
       in.size(),
       [&](float* dst, std::size_t off, std::size_t len) {
-        nco_s_.mix_real(x + off, dst, len);
+        nco_.mix_real(x + off, dst, len);
       },
       out);
 }
 
 std::size_t Ddc::process(std::span<const double> in,
                          std::vector<std::complex<double>>& out) {
-  if (params_.kernels == KernelPolicy::kScalar) {
+  if (!decimator_) {
     std::size_t got = 0;
     for (double s : in) {
       if (const auto iq = push(s)) {
@@ -109,13 +100,11 @@ std::vector<std::complex<double>> Ddc::process(
 }
 
 void Ddc::reset() {
-  lpf_.reset();
+  if (lpf_) lpf_->reset();
   phase_ = 0.0;
   decim_count_ = 0;
   nco_.set(0.0, -phase_step_);
-  decimator_.reset();
-  nco_s_.set(0.0, -phase_step_);
-  decimator_s_.reset();
+  if (decimator_) decimator_->reset();
 }
 
 double estimate_frequency_offset(const std::vector<std::complex<double>>& iq,
@@ -136,11 +125,6 @@ std::vector<std::complex<double>> derotate(
     double offset_hz, KernelPolicy policy) {
   std::vector<std::complex<double>> out(iq.size());
   const double step = -2.0 * std::numbers::pi * offset_hz / iq_rate_hz;
-  if (policy == KernelPolicy::kBlock) {
-    PhasorNco nco{0.0, step};
-    nco.mix(iq.data(), out.data(), iq.size());
-    return out;
-  }
   if (policy == KernelPolicy::kSimd) {
     simd::SimdNco nco{0.0, step};
     std::vector<float> scratch(2 * iq.size());

@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "arachnet/dsp/fir.hpp"
-#include "arachnet/dsp/kernels/fir_kernels.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
-#include "arachnet/dsp/kernels/nco.hpp"
 #include "arachnet/dsp/kernels/simd/stages.hpp"
 
 namespace arachnet::dsp {
@@ -22,16 +20,14 @@ namespace arachnet::dsp {
 /// This is the first block of the paper's reader software chain
 /// ("down conversion, ... filtering, decimation", Sec. 6.1).
 ///
-/// Three implementations live behind Params::kernels (see KernelPolicy):
-/// the scalar reference path (per-sample cos/sin mixer + streaming FIR),
-/// the block-kernel path (phasor-recurrence NCO + one-pass polyphase
-/// decimator) which produces the same IQ to rounding tolerance at a
-/// fraction of the cost, and the simd path (float32 vector lanes with
-/// runtime ISA dispatch, double accumulation at the decimation points)
-/// which matches to float32 tolerance. The decimation grid is identical
-/// across all policies. The block and simd paths run a block as kFirTile
+/// Two implementations live behind Params::kernels (see KernelPolicy):
+/// the scalar reference path (per-sample cos/sin mixer + streaming FIR)
+/// and the simd path (float32 vector lanes with runtime ISA dispatch,
+/// double accumulation at the decimation points), which matches it to
+/// float32 tolerance on the identical decimation grid. A Ddc builds only
+/// the stages its policy runs. The simd path runs a block as kFirTile
 /// tiles, the NCO writing each straight into the decimator's window, so
-/// their scratch does not grow with the caller's block size.
+/// its scratch does not grow with the caller's block size.
 class Ddc {
  public:
   struct Params {
@@ -57,9 +53,9 @@ class Ddc {
                       std::vector<std::complex<double>>& out);
 
   /// Pushes a single sample; yields an IQ sample every `decimation` inputs.
-  /// Always runs the scalar path — single-sample streaming has no block to
-  /// batch — but shares decimator state with process(), so the two can be
-  /// mixed freely.
+  /// Runs the policy's own stages (a one-sample block under kSimd), so it
+  /// shares decimator state with process() and the two can be mixed
+  /// freely.
   std::optional<std::complex<double>> push(double sample);
 
   double output_rate_hz() const noexcept {
@@ -74,15 +70,7 @@ class Ddc {
   /// [0, decimation) — lets block consumers map each produced IQ sample
   /// back to the exact raw-sample index that emitted it.
   std::size_t decimation_phase() const noexcept {
-    switch (params_.kernels) {
-      case KernelPolicy::kBlock:
-        return decimator_.phase();
-      case KernelPolicy::kSimd:
-        return decimator_s_.phase();
-      case KernelPolicy::kScalar:
-        break;
-    }
-    return decim_count_;
+    return decimator_ ? decimator_->phase() : decim_count_;
   }
 
   void reset();
@@ -90,28 +78,22 @@ class Ddc {
   const Params& params() const noexcept { return params_; }
 
  private:
-  /// Shares one low-pass design between the three policies' filters.
-  Ddc(Params params, const std::vector<double>& coeffs);
-
-  /// Block/simd paths: mixes `in` tile by tile into the decimator's
-  /// window and writes the survivors (at most in.size() / decimation + 1)
-  /// to `out`. Returns how many.
+  /// Simd path: mixes `in` tile by tile into the decimator's window and
+  /// writes the survivors (at most in.size() / decimation + 1) to `out`.
+  /// Returns how many.
   std::size_t run_kernels(std::span<const double> in,
                           std::complex<double>* out);
 
   Params params_;
-  FirFilter<std::complex<double>> lpf_;    ///< scalar-path filter state
-  double phase_ = 0.0;
   double phase_step_ = 0.0;
+  // Scalar path: per-sample oscillator phase into the streaming filter.
+  std::optional<FirFilter<std::complex<double>>> lpf_;
+  double phase_ = 0.0;
   std::size_t decim_count_ = 0;
-  // Block-kernel path: NCO phasor mixing each tile straight into the
-  // polyphase decimator's window.
-  PhasorNco nco_;
-  FirBlockDecimator<std::complex<double>> decimator_;
   // Simd path: float32 lanes into the float32 decimator's window, double
   // outputs.
-  simd::SimdNco nco_s_;
-  simd::FirSimdDecimator decimator_s_;
+  simd::SimdNco nco_;
+  std::optional<simd::FirSimdDecimator> decimator_;
 };
 
 /// Estimates a small carrier-frequency offset from decimated IQ: the slope

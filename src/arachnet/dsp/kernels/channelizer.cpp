@@ -205,7 +205,7 @@ void PolyphaseChannelizer::process_f64(const cplx* in, std::size_t n) {
       [&](const cplx* w, std::size_t, std::size_t len) {
         // Frame grid: the first frame fires at the tile index where decim
         // samples have accumulated since the last frame
-        // (FirBlockDecimator's alignment), i.e. the frame's newest sample
+        // (FirSimdDecimator's alignment), i.e. the frame's newest sample
         // is w[taps-1 + i].
         for (std::size_t i = decim - 1 - phase_; i < len; i += decim, ++f) {
           // Oldest-first window of `taps` samples ending at the frame

@@ -55,16 +55,19 @@ void FftPlan::transform(cplx* data, bool inverse) const noexcept {
     const std::size_t j = bitrev_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
-  // Stages with half >= 2 run two butterflies per iteration on 256-bit
-  // lanes. Each lane performs the exact arithmetic of the scalar
-  // butterfly (same multiplies, adds and ordering; the {-1,+1} sign
-  // vector turns the subtract into an exact negate-and-add), so the
-  // vector path is bit-identical to the scalar recurrence and needs no
-  // policy gate — every KernelPolicy shares it.
-  constexpr simd::f64x4 kSign = {-1.0, 1.0, -1.0, 1.0};
-  constexpr simd::i64x4 kDupRe = {0, 0, 2, 2};
-  constexpr simd::i64x4 kDupIm = {1, 1, 3, 3};
-  constexpr simd::i64x4 kSwap = {1, 0, 3, 2};
+  // Stages with half >= 2 run two butterflies per iteration on a pair of
+  // 16-byte lanes (this code is built for the baseline ISA only, so
+  // the lanes follow the portable tier's register-pair rule). Each lane
+  // performs the exact arithmetic of the scalar butterfly (same
+  // multiplies, adds and ordering; the {-1,+1} sign vector turns the
+  // subtract into an exact negate-and-add), so the vector path is
+  // bit-identical to the scalar recurrence and needs no policy gate —
+  // every KernelPolicy shares it.
+  using f64x4 = simd::Halves<simd::f64x2>;
+  constexpr f64x4 kSign = {-1.0, 1.0, -1.0, 1.0};
+  constexpr simd::i64x2 kDupRe = {0, 0};
+  constexpr simd::i64x2 kDupIm = {1, 1};
+  constexpr simd::i64x2 kSwap = {1, 0};
   const double sgn = inverse ? -1.0 : 1.0;
   double* d = reinterpret_cast<double*>(data);
   for (std::size_t len = 2; len <= n; len <<= 1) {
@@ -85,14 +88,14 @@ void FftPlan::transform(cplx* data, bool inverse) const noexcept {
       for (std::size_t k = 0; k + 2 <= half; k += 2) {
         const cplx w0 = twiddle_[k * stride];
         const cplx w1 = twiddle_[(k + 1) * stride];
-        const simd::f64x4 w = {w0.real(), sgn * w0.imag(), w1.real(),
-                               sgn * w1.imag()};
-        const simd::f64x4 x =
-            simd::loadu<simd::f64x4>(d + 2 * (i + k + half));
-        const simd::f64x4 v = __builtin_shuffle(x, kDupRe) * w +
-                              kSign * (__builtin_shuffle(x, kDupIm) *
-                                       __builtin_shuffle(w, kSwap));
-        const simd::f64x4 u = simd::loadu<simd::f64x4>(d + 2 * (i + k));
+        const f64x4 w = {w0.real(), sgn * w0.imag(), w1.real(),
+                         sgn * w1.imag()};
+        const f64x4 x = simd::loadu<f64x4>(d + 2 * (i + k + half));
+        const f64x4 v =
+            simd::shuffle_halves(x, kDupRe) * w +
+            kSign * (simd::shuffle_halves(x, kDupIm) *
+                     simd::shuffle_halves(w, kSwap));
+        const f64x4 u = simd::loadu<f64x4>(d + 2 * (i + k));
         simd::storeu(d + 2 * (i + k), u + v);
         simd::storeu(d + 2 * (i + k + half), u - v);
       }
@@ -107,7 +110,7 @@ void FftPlan::transform(cplx* data, bool inverse) const noexcept {
 void FftPlan::transform_f(std::complex<float>* data,
                           bool inverse) const noexcept {
   // The float32 butterflies live in the ISA-dispatched kernel table so
-  // they compile once per tier (AVX2/AVX-512 encodings included); this
+  // they compile once per tier (the AVX2 encoding included); this
   // wrapper supplies the plan's tables.
   simd::kernels().fft_radix2_cf32(
       reinterpret_cast<float*>(data), n_, bitrev_.data(),

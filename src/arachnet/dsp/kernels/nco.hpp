@@ -17,8 +17,8 @@ namespace arachnet::dsp {
 /// the tolerance of every consumer (the decoders threshold on envelopes
 /// hundreds of times larger).
 ///
-/// This is the block-kernel replacement for the per-sample trig in Ddc,
-/// derotate, the FDMA channel mixers, and UplinkWaveformSynth.
+/// UplinkWaveformSynth and the channelizer's per-lane residual rotation
+/// run on it in place of per-sample trig.
 class PhasorNco {
  public:
   using cplx = std::complex<double>;

@@ -1,7 +1,5 @@
 #include "arachnet/dsp/kernels/simd/simd_kernels.hpp"
 
-#include <cstring>
-
 #include "arachnet/dsp/kernels/cpu_dispatch.hpp"
 #include "arachnet/dsp/kernels/simd/vec.hpp"
 
@@ -10,7 +8,11 @@ namespace {
 
 // Portable tier: the impl compiled at the build's baseline ISA. On
 // x86-64 that is SSE2; on aarch64 the very same vectors lower to NEON.
+// Neither has a 32-byte register, so the tier's 8-lane vectors are
+// register pairs (see Halves).
 namespace generic_impl {
+using f32x8 = Halves<f32x4>;
+using f64x4 = Halves<f64x2>;
 #define ARACHNET_SIMD_FN static
 #include "arachnet/dsp/kernels/simd/simd_kernels_impl.inc"
 #undef ARACHNET_SIMD_FN
@@ -35,45 +37,14 @@ constexpr KernelTable kTable{"avx2",          &mix_real_cf32,
                              &fir_decim_cf32, &fft_radix2_cf32,
                              &chzr_fold_cf32, &chzr_fold_f64};
 }  // namespace avx2_impl
-
-// AVX-512 tier: once more from the same source. The vectors stay 256-bit
-// (f32x8/f64x4), but avx512vl lets the compiler emit the EVEX encoding
-// over them — 32 architectural vector registers and embedded-broadcast
-// forms — without the 512-bit license-frequency penalty of full-width
-// zmm loops. Selected only when CPUID reports avx512f+avx512vl+fma.
-#define ARACHNET_HAVE_AVX512_TIER 1
-namespace avx512_impl {
-#define ARACHNET_SIMD_FN \
-  static __attribute__((target("avx512f,avx512vl,fma")))
-#include "arachnet/dsp/kernels/simd/simd_kernels_impl.inc"
-#undef ARACHNET_SIMD_FN
-constexpr KernelTable kTable{"avx512",        &mix_real_cf32,
-                             &mix_cplx_cf32,  &fir_block_cf32,
-                             &fir_decim_cf32, &fft_radix2_cf32,
-                             &chzr_fold_cf32, &chzr_fold_f64};
-}  // namespace avx512_impl
 #endif
 
 }  // namespace
 
 const KernelTable& kernels() noexcept {
-  switch (active_simd_isa()) {
-    case SimdIsa::kAvx512:
-#if defined(ARACHNET_HAVE_AVX512_TIER)
-      return avx512_impl::kTable;
-#else
-      break;
-#endif
-    case SimdIsa::kAvx2:
 #if defined(ARACHNET_HAVE_AVX2_TIER)
-      return avx2_impl::kTable;
-#else
-      break;
+  if (active_simd_isa() == SimdIsa::kAvx2) return avx2_impl::kTable;
 #endif
-    case SimdIsa::kNeon:
-    case SimdIsa::kGeneric:
-      break;
-  }
   return generic_impl::kTable;
 }
 

@@ -125,8 +125,8 @@ inline std::vector<float> duplicate_reversed(
 }
 
 /// Streaming float32 block FIR over interleaved complex buffers — the
-/// kSimd counterpart of FirBlockFilter<std::complex<double>>, same
-/// taps-1 history-carry contract over the same kFirTile tiles. In-place
+/// kSimd counterpart of FirFilter<std::complex<double>>, carrying taps-1
+/// samples of history across kFirTile tiles. In-place
 /// operation (out == in) is allowed: each tile of input is copied into the
 /// window before its outputs are written.
 class FirSimdFilter {
@@ -145,8 +145,9 @@ class FirSimdFilter {
   }
 
   /// Filters `n` samples that `fill(dst, off, len)` writes straight into
-  /// the window as interleaved floats, tile by tile (see
-  /// FirBlockFilter::stream). Writes 2*n floats to `out`.
+  /// the window as interleaved floats, tile by tile (input samples
+  /// [off, off+len) to `dst`) — a mixer fused in front of the filter
+  /// needs no block buffer of its own. Writes 2*n floats to `out`.
   template <typename Fill>
   void stream(std::size_t n, Fill&& fill, float* out) {
     const KernelTable& k = kernels();
@@ -169,9 +170,9 @@ class FirSimdFilter {
 
 /// float32 decimating FIR writing complex<double> outputs (the decimated
 /// stream feeds double-precision decision chains downstream). Output
-/// alignment matches FirBlockDecimator exactly: with phase() samples
-/// consumed since the last output, the next fires after
-/// decimation - phase() further samples.
+/// alignment matches the scalar Ddc's feed()/value() decimator exactly:
+/// with phase() samples consumed since the last output, the next fires
+/// after decimation - phase() further samples.
 class FirSimdDecimator {
  public:
   FirSimdDecimator(const std::vector<double>& coeffs, std::size_t decimation)

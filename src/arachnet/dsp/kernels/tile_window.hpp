@@ -18,8 +18,9 @@ inline constexpr std::size_t kFirTile = 1024;
 /// (history + kFirTile) samples whatever the caller's block size.
 ///
 /// The buffer is allocated (zeroed) on the first stream() call, not at
-/// construction: objects that hold one window per kernel policy (Ddc, the
-/// FDMA channel, the channelizer) only pay for the one they run.
+/// construction: an object that holds more windows than it runs (the
+/// channelizer keeps one per fold precision) only pays for the one it
+/// streams through.
 ///
 /// `Width` is the storage elements per sample (2 for interleaved float32
 /// complex).

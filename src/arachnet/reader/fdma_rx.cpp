@@ -48,16 +48,13 @@ FdmaRxChain::Channel::Channel(double hz, double iq_rate, double chip_rate,
                               std::size_t debounce,
                               dsp::KernelPolicy kernel_policy)
     : Channel(hz, chip_rate, sp, debounce) {
-  kernels = kernel_policy;
   nco_step = -2.0 * std::numbers::pi * hz / iq_rate;
-  nco.set(0.0, nco_step);
-  nco_s.set(0.0, nco_step);
-  lpf.emplace(coeffs);
-  slpf.emplace(coeffs);
-  blpf.emplace(std::move(coeffs));
-  if (kernels == dsp::KernelPolicy::kSimd) {
+  if (kernel_policy == dsp::KernelPolicy::kSimd) {
+    nco_s.set(0.0, nco_step);
+    slpf.emplace(coeffs);
     mixed_f.resize(2 * dsp::kFirTile);
   } else {
+    lpf.emplace(std::move(coeffs));
     mixed.resize(dsp::kFirTile);
   }
 }
@@ -129,7 +126,7 @@ void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
   for (std::size_t off = 0; off < n; off += dsp::kFirTile) {
     const std::size_t len = std::min(dsp::kFirTile, n - off);
     const std::complex<double>* x = iq + off;
-    if (kernels == dsp::KernelPolicy::kSimd) {
+    if (slpf) {
       // float32 lanes through mixer and LPF (the mixer writes straight
       // into the filter's window); the decision chain reads the
       // interleaved tile widened back to double per sample.
@@ -147,28 +144,17 @@ void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
       }
       continue;
     }
-    if (kernels == dsp::KernelPolicy::kBlock) {
-      // Stage 2: folded symmetric block low-pass, the mixer writing
-      // straight into its window.
-      blpf->stream(
-          len,
-          [&](std::complex<double>* dst, std::size_t o, std::size_t l) {
-            nco.mix(x + o, dst, l);
-          },
-          mixed.data());
-    } else {
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::complex<double> osc{std::cos(nco_phase),
-                                       std::sin(nco_phase)};
-        nco_phase += nco_step;
-        if (nco_phase < -2.0 * std::numbers::pi) {
-          nco_phase += 2.0 * std::numbers::pi;
-        }
-        mixed[i] = x[i] * osc;
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::complex<double> osc{std::cos(nco_phase),
+                                     std::sin(nco_phase)};
+      nco_phase += nco_step;
+      if (nco_phase < -2.0 * std::numbers::pi) {
+        nco_phase += 2.0 * std::numbers::pi;
       }
-      // Stage 2: channel low-pass over the contiguous tile.
-      lpf->process(mixed.data(), mixed.data(), len);
+      mixed[i] = x[i] * osc;
     }
+    // Stage 2: channel low-pass over the contiguous tile.
+    lpf->process(mixed.data(), mixed.data(), len);
     // Stage 3: the per-sample decision chain.
     for (std::size_t i = 0; i < len; ++i) {
       cursor = base_index + off + i;

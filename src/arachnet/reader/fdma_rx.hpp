@@ -11,9 +11,7 @@
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/channelizer.hpp"
-#include "arachnet/dsp/kernels/fir_kernels.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
-#include "arachnet/dsp/kernels/nco.hpp"
 #include "arachnet/dsp/kernels/simd/stages.hpp"
 #include "arachnet/dsp/pipeline.hpp"
 #include "arachnet/dsp/schmitt.hpp"
@@ -111,12 +109,10 @@ class FdmaRxChain {
     /// share one registry without their `fdma.*` instruments colliding.
     /// Empty (the default) keeps the historical unscoped names.
     std::string metrics_scope;
-    /// DSP implementation for the main DDC and the per-channel mixer/LPF.
-    /// Decoded packets are identical across policies (see KernelPolicy);
-    /// the default is simd on AVX2/AVX-512 CPUs and block elsewhere (see
-    /// default_kernel_policy()). The channelizer front-end
-    /// has a single implementation, so under it the two kernel policies
-    /// differ only in the main DDC.
+    /// DSP implementation for the main DDC, the per-channel mixer/LPF and
+    /// the channelizer front-end. Decoded packets are identical across
+    /// policies (see KernelPolicy); the default is simd (see
+    /// default_kernel_policy()).
     dsp::KernelPolicy kernels = dsp::default_kernel_policy();
     /// Bank front-end selection; resolved once at construction (see
     /// BankPolicy and active_bank()).
@@ -221,9 +217,9 @@ class FdmaRxChain {
   /// make_channel()/make_lane_channel() is the only way to obtain one).
   ///
   /// Two front-end modes share the decision chain: per-channel mode owns
-  /// an NCO + LPF (stages 1-2) and consumes full-rate IQ; lane mode
-  /// (lane_decim != 0) consumes one already-filtered decimated lane of the
-  /// shared channelizer.
+  /// an NCO + LPF (stages 1-2) for its kernel policy only and consumes
+  /// full-rate IQ; lane mode (lane_decim != 0) consumes one
+  /// already-filtered decimated lane of the shared channelizer.
   struct Channel {
     /// Per-channel (mixer) mode.
     Channel(double hz, double iq_rate, double chip_rate,
@@ -269,14 +265,12 @@ class FdmaRxChain {
 
    public:
     double subcarrier_hz;
-    dsp::KernelPolicy kernels = dsp::default_kernel_policy();
-    double nco_phase = 0.0;  ///< scalar-path mixer state
+    // Scalar path: per-sample oscillator phase into the streaming LPF.
+    std::optional<dsp::FirFilter<std::complex<double>>> lpf;
+    double nco_phase = 0.0;
     double nco_step = 0.0;
-    dsp::PhasorNco nco;      ///< block-path mixer state
-    std::optional<dsp::FirFilter<std::complex<double>>> lpf;  ///< scalar LPF
-    std::optional<dsp::FirBlockFilter<std::complex<double>>> blpf;
     std::vector<std::complex<double>> mixed;  ///< one filtered tile
-    // Simd-path mixer state: float32 lanes end-to-end through the LPF,
+    // Simd path (slpf set): float32 lanes end-to-end through the LPF,
     // widened back to double at the decision chain.
     dsp::simd::SimdNco nco_s;
     std::optional<dsp::simd::FirSimdFilter> slpf;

@@ -173,7 +173,7 @@ void RxChain::process(const double* samples, std::size_t n) {
     }
     return;
   }
-  // Block path: the DDC's mix+decimate kernels over one dsp::kFirTile
+  // Simd path: the DDC's mix+decimate kernels over one dsp::kFirTile
   // tile at a time, then the per-IQ decision chain over that tile's
   // output — iq_buf_ never holds more than one tile's worth. Packet
   // timestamps must match the scalar path bit-for-bit: in scalar

@@ -24,7 +24,6 @@
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fir.hpp"
-#include "arachnet/dsp/kernels/fir_kernels.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
 #include "arachnet/dsp/kernels/simd/stages.hpp"
 #include "arachnet/phy/fm0.hpp"
@@ -189,7 +188,6 @@ using cplx = std::complex<double>;
 constexpr std::size_t kSmallBlock = 10'000;
 constexpr std::size_t kLargeBlock = 100'000;
 constexpr KernelPolicy kPolicies[] = {KernelPolicy::kScalar,
-                                      KernelPolicy::kBlock,
                                       KernelPolicy::kSimd};
 
 // The bare 90 kHz carrier: DDC input that decodes to nothing, so no
@@ -256,46 +254,26 @@ TEST(ScratchBytes, RxChainWarmUpDoesNotGrowWithBlockSize) {
   }
 }
 
-TEST(ScratchBytes, BlockFirStagesWarmUpDoesNotGrowWithBlockSize) {
+TEST(ScratchBytes, SimdFirStagesWarmUpDoesNotGrowWithBlockSize) {
   const auto coeffs = arachnet::dsp::design_lowpass(6e3, 500e3, 129);
   // Heap bytes `run` requests for a fresh stage and one n-sample block;
-  // input and output buffers (complex<double> and interleaved float32)
-  // exist beforehand.
+  // input (interleaved float32) and output buffers exist beforehand.
   const auto warm_bytes = [](std::size_t n, const auto& run) {
-    const std::vector<cplx> in(n, cplx{0.5, -0.25});
     const std::vector<float> in_f(2 * n, 0.5f);
     std::vector<cplx> out(n);
     std::vector<float> out_f(2 * n);
     CountingAllocatorGuard guard;
-    run(in, in_f, out, out_f);
+    run(in_f, out, out_f);
     return guard.bytes();
   };
-  const auto block_filter = [&](const auto& in, const auto&, auto& out,
-                                auto&) {
-    arachnet::dsp::FirBlockFilter<cplx> f{coeffs};
-    f.process(in.data(), out.data(), in.size());
-  };
-  const auto block_decimator = [&](const auto& in, const auto&, auto& out,
-                                   auto&) {
-    arachnet::dsp::FirBlockDecimator<cplx> d{coeffs, 16};
-    d.process(in.data(), in.size(), out.data());
-  };
-  const auto simd_filter = [&](const auto&, const auto& in_f, auto&,
-                               auto& out_f) {
+  const auto simd_filter = [&](const auto& in_f, auto&, auto& out_f) {
     arachnet::dsp::simd::FirSimdFilter f{coeffs};
     f.process(in_f.data(), out_f.data(), in_f.size() / 2);
   };
-  const auto simd_decimator = [&](const auto&, const auto& in_f, auto& out,
-                                  auto&) {
+  const auto simd_decimator = [&](const auto& in_f, auto& out, auto&) {
     arachnet::dsp::simd::FirSimdDecimator d{coeffs, 16};
     d.process(in_f.data(), in_f.size() / 2, out.data());
   };
-  EXPECT_EQ(warm_bytes(kSmallBlock, block_filter),
-            warm_bytes(kLargeBlock, block_filter))
-      << "FirBlockFilter";
-  EXPECT_EQ(warm_bytes(kSmallBlock, block_decimator),
-            warm_bytes(kLargeBlock, block_decimator))
-      << "FirBlockDecimator";
   EXPECT_EQ(warm_bytes(kSmallBlock, simd_filter),
             warm_bytes(kLargeBlock, simd_filter))
       << "FirSimdFilter";

@@ -5,7 +5,7 @@
 // fixed-size pieces around the tile size (1, T-1, T, T+1, 3T+7) and at
 // DAQ block sizes (10 000, 100 000): output counts and decimation phase
 // must be identical, IQ within the per-policy tolerance of DESIGN.md §7
-// (scalar exact, block 1e-9, simd 1e-5; exact for whole-tile pieces),
+// (scalar exact, simd 1e-5; exact for whole-tile pieces),
 // and decoded packets — payloads, CRC verdicts and timestamps —
 // identical.
 #include <gtest/gtest.h>
@@ -38,22 +38,13 @@ constexpr std::size_t kT = dsp::kFirTile;
 constexpr std::size_t kSplits[] = {1,      kT - 1, kT,     kT + 1,
                                    3 * kT + 7, 10'000, 100'000};
 constexpr KernelPolicy kPolicies[] = {KernelPolicy::kScalar,
-                                      KernelPolicy::kBlock,
                                       KernelPolicy::kSimd};
 
 // The per-policy IQ tolerance the parity tests already hold each path to
-// (KernelParity: block 1e-9; SimdParity: simd 1e-5); scalar runs sample
-// by sample and must match exactly.
+// (SimdParity: simd 1e-5); scalar runs sample by sample and must match
+// exactly.
 double iq_tolerance(KernelPolicy policy) {
-  switch (policy) {
-    case KernelPolicy::kBlock:
-      return 1e-9;
-    case KernelPolicy::kSimd:
-      return 1e-5;
-    case KernelPolicy::kScalar:
-      break;
-  }
-  return 0.0;
+  return policy == KernelPolicy::kSimd ? 1e-5 : 0.0;
 }
 
 // Calls `feed(offset, length)` over [0, total) in pieces of `piece`.
